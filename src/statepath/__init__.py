@@ -33,6 +33,7 @@ from .hilbert import (
     random_unitary,
     spectral_decompose,
     to_energy_coefficients,
+    transition_amplitude,
 )
 from .lattice import (
     CoherentChainProblem,
@@ -112,6 +113,7 @@ __all__ = [
     "random_unitary",
     "spectral_decompose",
     "to_energy_coefficients",
+    "transition_amplitude",
     "z_closed_form",
     "z_from_mode_product",
     "z_mode_factor",

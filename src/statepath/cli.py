@@ -243,8 +243,7 @@ def _build_hamiltonian(spec, master) -> Hamiltonian:
             raise ValueError("a random hamiltonian needs a dim")
         seed = _resolve_seed(spec.get("seed"), master, _SLOT_HAMILTONIAN, "random hamiltonian")
         scale = _finite(spec.get("energy_scale", 1.0), "energy_scale")
-        drawn = random_hamiltonian(int(spec["dim"]), seed, energy_scale=scale)
-        return drawn if hbar == 1.0 else Hamiltonian(drawn.matrix, hbar=hbar)
+        return random_hamiltonian(int(spec["dim"]), seed, energy_scale=scale, hbar=hbar)
     for stray in ("dim", "seed", "energy_scale"):
         if stray in spec:
             raise ValueError(f"an explicit hamiltonian takes no {stray!r} field")

@@ -20,8 +20,8 @@ from .hilbert import (
     Hamiltonian,
     SpectralDecomposition,
     StateVector,
-    evolve,
     to_energy_coefficients,
+    transition_amplitude,
 )
 
 __all__ = [
@@ -69,13 +69,12 @@ class FunctionalValue:
 
 
 def overlap(psi_e: StateVector, hamiltonian: Hamiltonian, psi_i: StateVector, t: float) -> complex:
-    """Inner product of the final state with the evolved initial state."""
-    if psi_e.dim != psi_i.dim or psi_e.dim != hamiltonian.dim:
-        raise ValueError(
-            f"dimension mismatch: psi_e dim {psi_e.dim}, psi_i dim {psi_i.dim}, "
-            f"operator dim {hamiltonian.dim}"
-        )
-    return complex(np.vdot(psi_e.amplitudes, evolve(hamiltonian, psi_i, t).amplitudes))
+    """Inner product of the final state with the evolved initial state.
+
+    Summed over the energy modes of the operator's stored eigensystem in
+    O(d^2); neither the propagator nor the evolved state is built.
+    """
+    return transition_amplitude(psi_e, hamiltonian, psi_i, t)
 
 
 def z_closed_form(psi_i: StateVector, psi_e: StateVector, hamiltonian: Hamiltonian, t: float) -> FunctionalValue:

@@ -3,9 +3,18 @@
 States, Hermitian operators, spectral decompositions, and unitary time
 evolution. Everything is immutable after construction and safe to share
 across threads; operations are pure functions of their arguments.
+
+A ``Hamiltonian`` diagonalizes itself once, at construction, and keeps the
+raw eigensystem read-only. Evolution and transition amplitudes work in that
+eigenbasis, ``V (e^{-iEt/hbar} * V^dag psi)``, at O(d^2) per call and never
+build the propagator matrix; ``propagator`` exists for callers who want
+``U(t)`` itself, and ``spectral_decompose`` only canonicalizes the stored
+eigensystem.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -17,6 +26,7 @@ __all__ = [
     "spectral_decompose",
     "propagator",
     "evolve",
+    "transition_amplitude",
     "to_energy_coefficients",
     "random_state",
     "random_hamiltonian",
@@ -34,6 +44,11 @@ HERMITIAN_RTOL = 1e-12
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
+
+
+def _unitary_drift(matrix: np.ndarray) -> float:
+    """max |M^dag M - I|."""
+    return float(np.abs(matrix.conj().T @ matrix - np.eye(matrix.shape[0])).max())
 
 
 def _as_complex_vector(values) -> np.ndarray:
@@ -100,10 +115,15 @@ class Hamiltonian:
     """Hermitian operator together with the action scale ``hbar``.
 
     Hermiticity is enforced at construction: max |M - M^dag| must not exceed
-    ``HERMITIAN_RTOL`` times max |M|.
+    ``HERMITIAN_RTOL`` times max |M|. Construction also computes the raw
+    eigensystem once (``numpy.linalg.eigh``, an O(d^3) step), checks that
+    the eigenbasis is unitary within ``UNITARY_TOL`` and stores it
+    read-only; every later evolution reuses it at O(d^2). Computing it
+    eagerly keeps the object immutable, so it needs no lock to be shared
+    across threads.
     """
 
-    __slots__ = ("_matrix", "_hbar")
+    __slots__ = ("_matrix", "_hbar", "_energies", "_eigenvectors")
 
     def __init__(self, matrix, hbar: float = 1.0) -> None:
         arr = _as_complex_matrix(matrix)
@@ -117,8 +137,14 @@ class Hamiltonian:
                 f"matrix is not Hermitian: max |M_jk - conj(M_kj)| = {asymmetry:.3e} "
                 f"exceeds {HERMITIAN_RTOL:.0e} * max|M| = {HERMITIAN_RTOL * scale:.3e}"
             )
+        energies, vectors = np.linalg.eigh(arr)
+        drift = _unitary_drift(vectors)
+        if drift > UNITARY_TOL:
+            raise ValueError(f"eigenbasis is not unitary: max |V^dag V - I| = {drift:.3e}")
         self._matrix = _freeze(arr)
         self._hbar = hbar
+        self._energies = _freeze(energies)
+        self._eigenvectors = _freeze(vectors)
 
     @property
     def matrix(self) -> np.ndarray:
@@ -156,7 +182,7 @@ class SpectralDecomposition:
             raise ValueError("energies contain non-finite entries")
         if np.any(np.diff(e) < 0.0):
             raise ValueError("energies must be sorted ascending")
-        drift = float(np.abs(v.conj().T @ v - np.eye(v.shape[0])).max())
+        drift = _unitary_drift(v)
         if drift > UNITARY_TOL:
             raise ValueError(
                 f"eigenvector matrix is not unitary: max |V^dag V - I| = {drift:.3e}"
@@ -190,7 +216,7 @@ class UnitaryPropagator:
         duration = float(duration)
         if not np.isfinite(duration):
             raise ValueError(f"duration must be finite, got {duration!r}")
-        drift = float(np.abs(arr.conj().T @ arr - np.eye(arr.shape[0])).max())
+        drift = _unitary_drift(arr)
         if drift > UNITARY_TOL:
             raise ValueError(f"matrix is not unitary: max |U^dag U - I| = {drift:.3e}")
         self._matrix = _freeze(arr)
@@ -213,50 +239,89 @@ class UnitaryPropagator:
 
 
 def spectral_decompose(hamiltonian: Hamiltonian) -> SpectralDecomposition:
-    """Diagonalize a Hermitian operator.
+    """Canonical form of the eigensystem computed when ``hamiltonian`` was built.
 
-    Energies come back ascending. Column phases are canonicalized (the
-    largest-magnitude entry of each eigenvector is rotated onto the positive
-    real axis) and columns belonging to an exactly degenerate eigenvalue are
-    ordered lexicographically by their entries, so repeated runs on the same
-    matrix give identical output. For degenerate operators any orthonormal
-    basis of the degenerate subspace is equally valid, so comparisons should
-    go through projectors rather than individual eigenvectors.
+    No diagonalization happens here. Energies come back ascending. Column
+    phases are canonicalized (the largest-magnitude entry of each
+    eigenvector is rotated onto the positive real axis) and columns
+    belonging to an exactly degenerate eigenvalue are ordered
+    lexicographically by their entries, so repeated runs on the same matrix
+    give identical output. For degenerate operators any orthonormal basis
+    of the degenerate subspace is equally valid, so comparisons should go
+    through projectors rather than individual eigenvectors. Only reports
+    that name individual modes need this form; evolution and overlaps are
+    basis independent and use the raw eigensystem directly.
     """
-    energies, vectors = np.linalg.eigh(hamiltonian.matrix)
-    vectors = vectors.copy()
-    for j in range(vectors.shape[1]):
-        column = vectors[:, j]
-        lead = int(np.argmax(np.abs(column)))
-        phase = column[lead] / abs(column[lead])
-        vectors[:, j] = column * np.conj(phase)
-
-    def column_key(j: int):
-        parts = np.column_stack((vectors[:, j].real, vectors[:, j].imag))
-        return (float(energies[j]), tuple(parts.ravel()))
-
-    order = sorted(range(energies.size), key=column_key)
+    energies, vectors = hamiltonian._energies, hamiltonian._eigenvectors
+    lead = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(vectors.shape[1])]
+    # np.hypot rounds like the scalar abs() of a complex entry, which keeps
+    # the output bit-for-bit equal to a column-by-column canonicalization
+    vectors = vectors * np.conj(lead / np.hypot(lead.real, lead.imag))
+    # rows re_0, im_0, re_1, im_1, ...; lexsort's last key is its primary one
+    entries = np.stack((vectors.real, vectors.imag), axis=1).reshape(-1, energies.size)
+    order = np.lexsort(np.vstack((entries[::-1], energies)))
     return SpectralDecomposition(energies[order], vectors[:, order])
 
 
-def propagator(hamiltonian: Hamiltonian, t: float) -> UnitaryPropagator:
-    """Evolution operator for duration ``t``, built from the eigensystem."""
+def _phases(hamiltonian: Hamiltonian, t: float) -> np.ndarray:
+    """e^{-i E_j t / hbar} for every stored energy."""
     t = float(t)
-    if not np.isfinite(t):
+    if not math.isfinite(t):
         raise ValueError(f"t must be finite, got {t!r}")
-    decomp = spectral_decompose(hamiltonian)
-    phases = np.exp(-1j * decomp.energies * (t / hamiltonian.hbar))
-    matrix = (decomp.eigenvectors * phases) @ decomp.eigenvectors.conj().T
-    return UnitaryPropagator(matrix, t)
+    return np.exp(-1j * hamiltonian._energies * (t / hamiltonian.hbar))
+
+
+def _check_dims(hamiltonian: Hamiltonian, *states: StateVector) -> None:
+    for psi in states:
+        if psi.dim != hamiltonian.dim:
+            raise ValueError(
+                f"dimension mismatch: state dim {psi.dim} vs operator dim {hamiltonian.dim}"
+            )
+
+
+def _energy_amplitudes(hamiltonian: Hamiltonian, psi: StateVector) -> np.ndarray:
+    """V^dag psi in the raw eigenbasis, without copying V."""
+    return np.conj(psi.amplitudes.conj() @ hamiltonian._eigenvectors)
+
+
+def propagator(hamiltonian: Hamiltonian, t: float) -> UnitaryPropagator:
+    """Evolution operator for duration ``t``, built from the stored eigensystem.
+
+    O(d^3). Evolution and overlaps do not need it; see :func:`evolve` and
+    :func:`transition_amplitude`.
+    """
+    phases = _phases(hamiltonian, t)
+    vectors = hamiltonian._eigenvectors
+    return UnitaryPropagator((vectors * phases) @ vectors.conj().T, t)
 
 
 def evolve(hamiltonian: Hamiltonian, psi: StateVector, t: float) -> StateVector:
-    """Evolve ``psi`` for duration ``t`` under the given operator."""
-    if psi.dim != hamiltonian.dim:
+    """Evolve ``psi`` for duration ``t`` as V (e^{-iEt/hbar} * V^dag psi), in O(d^2)."""
+    _check_dims(hamiltonian, psi)
+    phases = _phases(hamiltonian, t)
+    return StateVector(hamiltonian._eigenvectors @ (phases * _energy_amplitudes(hamiltonian, psi)))
+
+
+def transition_amplitude(
+    psi_e: StateVector, hamiltonian: Hamiltonian, psi_i: StateVector, t: float
+) -> complex:
+    """<psi_e| U(t) |psi_i> = sum_j conj(a_e_j) a_i_j e^{-i E_j t/hbar}, in O(d^2).
+
+    ``a = V^dag psi`` are the energy amplitudes in the stored eigenbasis. The
+    evolved state is never formed, so its norm is checked here instead: the
+    squared norm of ``a_i`` must be within ``NORM_SQ_TOL`` of 1.
+    """
+    _check_dims(hamiltonian, psi_e, psi_i)
+    phases = _phases(hamiltonian, t)
+    a_i = _energy_amplitudes(hamiltonian, psi_i)
+    norm_sq = float(np.vdot(a_i, a_i).real)
+    if abs(norm_sq - 1.0) > NORM_SQ_TOL:
         raise ValueError(
-            f"dimension mismatch: state dim {psi.dim} vs operator dim {hamiltonian.dim}"
+            f"evolved state is not normalized: sum of |a_j|^2 deviates from 1 by "
+            f"{abs(norm_sq - 1.0):.3e} (tolerance {NORM_SQ_TOL:.0e})"
         )
-    return StateVector(propagator(hamiltonian, t).matrix @ psi.amplitudes)
+    conj_a_e = psi_e.amplitudes.conj() @ hamiltonian._eigenvectors
+    return complex(conj_a_e @ (phases * a_i))
 
 
 def to_energy_coefficients(psi: StateVector, decomposition: SpectralDecomposition) -> np.ndarray:
@@ -278,8 +343,14 @@ def random_state(dim: int, seed) -> StateVector:
     return StateVector.normalized(raw)
 
 
-def random_hamiltonian(dim: int, seed, energy_scale: float = 1.0) -> Hamiltonian:
-    """Random Hermitian operator (A + A^dag)/2 from a seeded Gaussian draw."""
+def random_hamiltonian(
+    dim: int, seed, energy_scale: float = 1.0, hbar: float = 1.0
+) -> Hamiltonian:
+    """Random Hermitian operator (A + A^dag)/2 from a seeded Gaussian draw.
+
+    The matrix depends on ``dim``, ``seed`` and ``energy_scale`` only;
+    ``hbar`` is passed through to the one :class:`Hamiltonian` built.
+    """
     dim = int(dim)
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
@@ -288,7 +359,7 @@ def random_hamiltonian(dim: int, seed, energy_scale: float = 1.0) -> Hamiltonian
         raise ValueError(f"energy_scale must be positive and finite, got {energy_scale!r}")
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return Hamiltonian(energy_scale * 0.5 * (a + a.conj().T))
+    return Hamiltonian(energy_scale * 0.5 * (a + a.conj().T), hbar=hbar)
 
 
 def random_unitary(dim: int, seed) -> np.ndarray:

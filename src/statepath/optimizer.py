@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .functional import ABS_Z_LOWER
-from .hilbert import Hamiltonian, StateVector, evolve, propagator
+from .hilbert import Hamiltonian, StateVector, evolve
 
 __all__ = [
     "OptimizerConfig",
@@ -158,7 +158,7 @@ def maximize_final_state(
             f"state dimension {psi_i.dim} does not match Hamiltonian "
             f"dimension {hamiltonian.matrix.shape[0]}"
         )
-    target = propagator(hamiltonian, t).matrix @ psi_i.amplitudes
+    target = evolve(hamiltonian, psi_i, t).amplitudes
 
     if initial is None:
         rng = np.random.default_rng(config.seed)

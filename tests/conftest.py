@@ -1,6 +1,35 @@
 """Shared helpers for the test suite."""
 
 import numpy as np
+import pytest
+
+
+@pytest.fixture
+def eigh_calls(monkeypatch):
+    """Route numpy.linalg.eigh through a counter; the list grows by one per call."""
+    calls = []
+    real_eigh = np.linalg.eigh
+
+    def counting_eigh(*args, **kwargs):
+        calls.append(1)
+        return real_eigh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    return calls
+
+
+def reference_propagator(matrix, t, hbar=1.0):
+    """Explicit U(t) = V diag(e^{-iEt/hbar}) V^dag from a fresh numpy.linalg.eigh."""
+    energies, vectors = np.linalg.eigh(matrix)
+    return (vectors * np.exp(-1j * energies * t / hbar)) @ vectors.conj().T
+
+
+def degenerate_hermitian(dim, seed):
+    """W diag(0, 0, 1, 1, 2, ...) W^dag for a seeded random unitary W, re-symmetrized."""
+    rng = np.random.default_rng(seed)
+    w, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    m = (w * (np.arange(dim) // 2).astype(float)) @ w.conj().T
+    return 0.5 * (m + m.conj().T)
 
 
 def central_difference_gradient(f, x, h=1e-5):

@@ -5,7 +5,10 @@ import math
 
 import pytest
 
-from statepath.cli import main
+import numpy as np
+
+from statepath import random_hamiltonian
+from statepath.cli import _build_hamiltonian, main
 
 RANDOM_ZEVAL = {
     "psi_i": {"kind": "random", "seed": 1},
@@ -36,6 +39,14 @@ def test_zeval_evolved_final_state_is_maximal(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert abs(payload["abs_z"] - 1.0) <= 1e-12
     assert abs(payload["overlap_im"]) <= 1e-12
+
+
+def test_random_hamiltonian_with_hbar_is_built_once(eigh_calls):
+    spec = {"kind": "random", "dim": 5, "seed": 9, "energy_scale": 1.5, "hbar": 2.5}
+    hamiltonian = _build_hamiltonian(spec, None)
+    assert len(eigh_calls) == 1
+    assert hamiltonian.hbar == 2.5
+    assert np.array_equal(hamiltonian.matrix, random_hamiltonian(5, 9, energy_scale=1.5).matrix)
 
 
 def test_zeval_explicit_states(tmp_path, capsys):

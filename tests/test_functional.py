@@ -7,15 +7,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import degenerate_hermitian, reference_propagator
 from statepath import (
     ABS_Z_LOWER,
     ABS_Z_UPPER,
     FunctionalValue,
     Hamiltonian,
+    OptimizerConfig,
     StateVector,
     basis_invariance_check,
     evolve,
+    maximize_final_state,
     overlap,
+    propagator,
     random_hamiltonian,
     random_state,
     random_unitary,
@@ -27,6 +31,7 @@ from statepath import (
 
 FACTOR_TOL = 1e-10
 BOUND_SLACK = 1e-12
+ROUTE_TOL = 1e-12
 
 
 def orthogonal_to(psi: StateVector, seed: int) -> StateVector:
@@ -63,6 +68,38 @@ def test_overlap_equal_superposition_half_period():
 def test_overlap_rejects_dimension_mismatch():
     with pytest.raises(ValueError, match="dimension mismatch"):
         overlap(random_state(3, 0), random_hamiltonian(4, 0), random_state(4, 0), 1.0)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 5, 16, 64])
+@pytest.mark.parametrize("hbar", [1.0, 2.5])
+@pytest.mark.parametrize("degenerate", [False, True])
+def test_overlap_and_z_match_an_explicit_propagator(dim, hbar, degenerate):
+    if degenerate:
+        matrix = degenerate_hermitian(dim, 60 + dim)
+    else:
+        matrix = random_hamiltonian(dim, 60 + dim).matrix
+    hamiltonian = Hamiltonian(matrix, hbar=hbar)
+    psi_i, psi_e = random_state(dim, 5), random_state(dim, 6)
+    # at t = 0 the propagator is the identity
+    cases = [(0.0, np.eye(dim))]
+    cases += [(t, reference_propagator(matrix, t, hbar)) for t in (-1.7, 0.9)]
+    for t, u in cases:
+        expected = np.vdot(psi_e.amplitudes, u @ psi_i.amplitudes)
+        assert abs(overlap(psi_e, hamiltonian, psi_i, t) - expected) <= ROUTE_TOL
+        value = z_closed_form(psi_i, psi_e, hamiltonian, t)
+        assert abs(value.z - np.exp(expected - 1.0)) <= ROUTE_TOL
+
+
+def test_one_hamiltonian_is_diagonalized_once(eigh_calls):
+    hamiltonian = random_hamiltonian(6, 31)
+    psi_i, psi_e = random_state(6, 32), random_state(6, 33)
+    for t in np.linspace(-3.0, 3.0, 64):
+        z_closed_form(psi_i, psi_e, hamiltonian, float(t))
+    z_from_mode_product(psi_i, psi_e, spectral_decompose(hamiltonian), 0.4, hamiltonian.hbar)
+    evolve(hamiltonian, psi_i, 0.4)
+    propagator(hamiltonian, 0.4)
+    maximize_final_state(hamiltonian, psi_i, 0.4, OptimizerConfig(seed=1))
+    assert len(eigh_calls) == 1
 
 
 # --------------------------------------------------------------- z_closed_form

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import degenerate_hermitian, reference_propagator
 from statepath import (
     Hamiltonian,
     SpectralDecomposition,
@@ -19,11 +20,13 @@ from statepath import (
     random_unitary,
     spectral_decompose,
     to_energy_coefficients,
+    transition_amplitude,
 )
 
 RECON_TOL = 1e-10
 UNITARY_TOL = 1e-10
 GROUP_TOL = 1e-9
+ROUTE_TOL = 1e-12
 
 
 # ---------------------------------------------------------------- StateVector
@@ -83,6 +86,18 @@ def test_hamiltonian_rejects_rectangular():
         Hamiltonian(np.zeros((2, 3)))
 
 
+def test_hamiltonian_rejects_a_non_unitary_eigenbasis(monkeypatch):
+    real_eigh = np.linalg.eigh
+
+    def stretched_eigh(matrix):
+        energies, vectors = real_eigh(matrix)
+        return energies, 2.0 * vectors
+
+    monkeypatch.setattr(np.linalg, "eigh", stretched_eigh)
+    with pytest.raises(ValueError, match="unitary"):
+        Hamiltonian(np.diag([0.0, 1.0]))
+
+
 # --------------------------------------------------------- spectral_decompose
 
 def test_spectral_diagonal_input():
@@ -126,6 +141,37 @@ def test_spectral_degenerate_subspace_projector():
     v = dec.eigenvectors[:, :2]
     projector = v @ v.conj().T
     np.testing.assert_allclose(projector, np.diag([1.0, 1.0, 0.0]), atol=1e-12)
+
+
+def _canonical_by_columns(matrix):
+    """Column-by-column canonicalization: the definition the vectorized one must match."""
+    energies, vectors = np.linalg.eigh(matrix)
+    vectors = vectors.copy()
+    for j in range(vectors.shape[1]):
+        column = vectors[:, j]
+        lead = int(np.argmax(np.abs(column)))
+        phase = column[lead] / abs(column[lead])
+        vectors[:, j] = column * np.conj(phase)
+
+    def column_key(j: int):
+        parts = np.column_stack((vectors[:, j].real, vectors[:, j].imag))
+        return (float(energies[j]), tuple(parts.ravel()))
+
+    order = sorted(range(energies.size), key=column_key)
+    return energies[order], vectors[:, order]
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [random_hamiltonian(dim, seed).matrix for dim in (2, 3, 5, 8, 16, 33) for seed in range(4)]
+    + [degenerate_hermitian(6, seed) for seed in range(4)]
+    + [np.diag([1.0, 1.0, 3.0]), np.zeros((4, 4)), np.eye(5), np.array([[0.7]])],
+)
+def test_spectral_canonical_form_matches_the_column_loop_bitwise(matrix):
+    dec = spectral_decompose(Hamiltonian(matrix))
+    energies, vectors = _canonical_by_columns(matrix)
+    assert np.array_equal(dec.energies, energies)
+    assert np.array_equal(dec.eigenvectors, vectors)
 
 
 def test_decomposition_type_rejects_descending_energies():
@@ -210,6 +256,34 @@ def test_evolve_rejects_dimension_mismatch():
         evolve(random_hamiltonian(3, 0), random_state(4, 0), 1.0)
 
 
+@pytest.mark.parametrize("dim", [1, 2, 5, 16, 64])
+@pytest.mark.parametrize("hbar", [1.0, 2.5])
+@pytest.mark.parametrize("degenerate", [False, True])
+def test_evolve_and_amplitude_match_an_explicit_propagator(dim, hbar, degenerate):
+    if degenerate:
+        matrix = degenerate_hermitian(dim, 40 + dim)
+    else:
+        matrix = random_hamiltonian(dim, 40 + dim).matrix
+    hamiltonian = Hamiltonian(matrix, hbar=hbar)
+    psi_i, psi_e = random_state(dim, 1), random_state(dim, 2)
+    # at t = 0 the propagator is the identity
+    cases = [(0.0, np.eye(dim))]
+    cases += [(t, reference_propagator(matrix, t, hbar)) for t in (-2.3, 0.7, 3.1)]
+    for t, u in cases:
+        evolved = u @ psi_i.amplitudes
+        assert np.abs(evolve(hamiltonian, psi_i, t).amplitudes - evolved).max() <= ROUTE_TOL
+        expected = np.vdot(psi_e.amplitudes, evolved)
+        assert abs(transition_amplitude(psi_e, hamiltonian, psi_i, t) - expected) <= ROUTE_TOL
+
+
+def test_transition_amplitude_rejects_bad_input():
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        transition_amplitude(random_state(3, 0), random_hamiltonian(4, 0), random_state(4, 0), 1.0)
+    with pytest.raises(ValueError, match="finite"):
+        transition_amplitude(random_state(2, 0), random_hamiltonian(2, 0), random_state(2, 1),
+                             math.nan)
+
+
 def test_evolve_preserves_norm_battery():
     rng = np.random.default_rng(1234)
     for _ in range(1000):
@@ -276,6 +350,12 @@ def test_random_hamiltonian_scales_linearly():
     base = random_hamiltonian(4, 21, energy_scale=1.0)
     scaled = random_hamiltonian(4, 21, energy_scale=2.5)
     np.testing.assert_allclose(scaled.matrix, 2.5 * base.matrix, atol=1e-14)
+
+
+def test_random_hamiltonian_hbar_leaves_the_matrix_bits_alone():
+    drawn = random_hamiltonian(5, 21, energy_scale=1.5, hbar=2.5)
+    assert drawn.hbar == 2.5
+    assert np.array_equal(drawn.matrix, random_hamiltonian(5, 21, energy_scale=1.5).matrix)
 
 
 def test_random_unitary_is_unitary():
