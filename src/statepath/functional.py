@@ -20,6 +20,8 @@ from .hilbert import (
     Hamiltonian,
     SpectralDecomposition,
     StateVector,
+    _as_complex_matrix,
+    _unitary_drift,
     to_energy_coefficients,
     transition_amplitude,
 )
@@ -136,12 +138,12 @@ def basis_invariance_check(
     The functional is basis independent, so the result is pure floating-point
     noise for a genuinely unitary ``u_basis``; non-unitary input is rejected.
     """
-    u = np.asarray(u_basis, dtype=np.complex128)
-    if u.ndim != 2 or u.shape[0] != u.shape[1] or u.shape[0] != hamiltonian.dim:
+    u = _as_complex_matrix(u_basis)
+    if u.shape[0] != hamiltonian.dim:
         raise ValueError(
             f"basis change must be a {hamiltonian.dim}x{hamiltonian.dim} matrix, got shape {u.shape}"
         )
-    drift = float(np.abs(u.conj().T @ u - np.eye(u.shape[0])).max())
+    drift = _unitary_drift(u)
     if drift > UNITARY_TOL:
         raise ValueError(f"basis change is not unitary: max |U^dag U - I| = {drift:.3e}")
     z_original = z_closed_form(psi_i, psi_e, hamiltonian, t).z

@@ -215,25 +215,22 @@ def discrete_action(path: PathLattice, energy, hbar: float = 1.0) -> ActionValue
 def chain_reduce_exact(problem: CoherentChainProblem) -> complex:
     """Integrate out the interior chain variables exactly, slice by slice.
 
-    Tracks the affine-Gaussian reduction state (a scalar prefactor plus the
-    running coefficient of conj(z_f) z_0) through every slice instead of
-    jumping to the closed form, so the independent power-law oracle stays a
-    meaningful check. Each elimination applies
+    Tracks the running coefficient of conj(z_f) z_0 through every slice
+    instead of jumping to the closed form, so the independent power-law
+    oracle stays a meaningful check. Each elimination applies
 
         integral d^2 z / pi exp(-a |z|^2 + u conj(z) + v z) = (1/a) exp(u v / a)
 
     where a = 1 is fixed by the Gaussian weight the measure assigns to every
-    interior variable.
+    interior variable, so the prefactor stays 1 and the coupling picks up
+    one factor c per slice.
     """
     c = 1.0 - 1j * problem.energy * problem.grid.dt / problem.hbar
-    prefactor = 1.0 + 0.0j
     coupling = c  # coefficient of conj(z_1) z_0 before any elimination
     for _ in range(problem.grid.steps - 1):
-        a = 1.0
-        prefactor /= a
-        coupling = (coupling / a) * c
+        coupling *= c
     boundary = np.exp(-0.5 * (abs(problem.zf) ** 2 + abs(problem.z0) ** 2))
-    return complex(prefactor * boundary * np.exp(coupling * np.conj(problem.zf) * problem.z0))
+    return complex(boundary * np.exp(coupling * np.conj(problem.zf) * problem.z0))
 
 
 def analytic_propagator(problem: CoherentChainProblem) -> complex:

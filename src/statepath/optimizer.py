@@ -136,6 +136,48 @@ def _tangent(x: np.ndarray, grad_conj: np.ndarray) -> np.ndarray:
     return r - np.real(np.vdot(x, r)) * x
 
 
+def _sphere_ascend(x, value_fn, grad_fn, step_size, max_iters, grad_tol):
+    """Projected gradient ascent on the unit sphere with backtracking.
+
+    Each iteration projects ``grad_fn(x)`` (a conjugate gradient) onto the
+    tangent space, stops once its max-norm is at most ``grad_tol``, and
+    otherwise tries steps ``step_size``, ``step_size/2``, ... renormalizing
+    each trial point (a retraction), accepting the first one that does not
+    decrease ``value_fn``. A line search that halves below ``_MIN_STEP``
+    means the point is numerically stationary and ends the run unconverged.
+    Returns ``(x, f, trace, grad_norms, iterations, converged)``; ``trace``
+    starts with the initial value and gains one entry per iteration.
+    """
+    f = value_fn(x)
+    trace = [f]
+    grad_norms: list[float] = []
+    iterations = 0
+    for _ in range(max_iters):
+        tangent = _tangent(x, grad_fn(x))
+        gnorm = float(np.max(np.abs(tangent)))
+        grad_norms.append(gnorm)
+        if gnorm <= grad_tol:
+            return x, f, trace, grad_norms, iterations, True
+        iterations += 1
+        step = step_size
+        while step >= _MIN_STEP:
+            candidate = x + step * tangent
+            candidate /= np.linalg.norm(candidate)
+            fc = value_fn(candidate)
+            if fc >= f:
+                x, f = candidate, fc
+                break
+            step *= 0.5
+        trace.append(f)
+        if step < _MIN_STEP:
+            # the line search exhausted itself: numerically stationary
+            return x, f, trace, grad_norms, iterations, False
+    # ran out of iterations; record the final gradient for the report
+    gnorm = float(np.max(np.abs(_tangent(x, grad_fn(x)))))
+    grad_norms.append(gnorm)
+    return x, f, trace, grad_norms, iterations, gnorm <= grad_tol
+
+
 def maximize_final_state(
     hamiltonian: Hamiltonian,
     psi_i: StateVector,
@@ -171,42 +213,14 @@ def maximize_final_state(
             )
         x = initial.amplitudes.copy()
 
-    f = _objective_against(x, target)
-    trace = [f]
-    grad_norms: list[float] = []
-    converged = False
-    iterations = 0
-
-    for _ in range(config.max_iters):
-        tangent = _tangent(x, _gradient_against(x, target))
-        gnorm = float(np.max(np.abs(tangent)))
-        grad_norms.append(gnorm)
-        if gnorm <= config.grad_tol:
-            converged = True
-            break
-        iterations += 1
-        step = config.step_size
-        moved = False
-        while step >= _MIN_STEP:
-            candidate = x + step * tangent
-            candidate /= np.linalg.norm(candidate)
-            fc = _objective_against(candidate, target)
-            if fc >= f:
-                x, f = candidate, fc
-                moved = True
-                break
-            step *= 0.5
-        trace.append(f)
-        if not moved:
-            # the line search exhausted itself: numerically stationary
-            break
-    else:
-        # ran out of iterations; record the final gradient for the report
-        tangent = _tangent(x, _gradient_against(x, target))
-        gnorm = float(np.max(np.abs(tangent)))
-        grad_norms.append(gnorm)
-        converged = gnorm <= config.grad_tol
-
+    x, f, trace, grad_norms, iterations, converged = _sphere_ascend(
+        x,
+        lambda y: _objective_against(y, target),
+        lambda y: _gradient_against(y, target),
+        config.step_size,
+        config.max_iters,
+        config.grad_tol,
+    )
     fidelity = float(abs(np.vdot(x, target)) ** 2)
     return OptimizationResult(
         final_state=StateVector(x),

@@ -24,13 +24,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .hilbert import Hamiltonian, StateVector, evolve
+from .hilbert import (
+    UNITARY_TOL,
+    Hamiltonian,
+    StateVector,
+    _as_complex_matrix,
+    _unitary_drift,
+    evolve,
+)
 from .lattice import PathLattice, TimeGrid
-from .optimizer import OptimizerConfig, _tangent
+from .optimizer import OptimizerConfig, _sphere_ascend
 
 __all__ = [
     "MeasureKind",
@@ -46,10 +53,8 @@ __all__ = [
     "qubit_detector_model",
 ]
 
-_BASIS_TOL = 1e-10
 _NORM_TOL = 1e-9
 _TIE_TOL = 1e-9
-_MIN_STEP = 1e-18
 _MAX_SLICE_ITERS = 64
 
 
@@ -59,19 +64,13 @@ class MeasureKind(str, Enum):
 
 
 def _check_pointer_basis(basis) -> np.ndarray:
-    arr = np.array(basis, dtype=np.complex128)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError(
-            f"pointer basis must be a square matrix whose columns form a "
-            f"complete orthonormal basis, got shape {arr.shape}"
-        )
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("pointer basis contains non-finite entries")
-    gram_defect = float(np.max(np.abs(arr.conj().T @ arr - np.eye(arr.shape[0]))))
-    if gram_defect > _BASIS_TOL:
+    """The basis as a read-only square matrix with orthonormal columns."""
+    arr = _as_complex_matrix(basis)
+    gram_defect = _unitary_drift(arr)
+    if gram_defect > UNITARY_TOL:
         raise ValueError(
             f"pointer basis is not orthonormal: max |B^dag B - I| = "
-            f"{gram_defect:.3e} exceeds {_BASIS_TOL}"
+            f"{gram_defect:.3e} exceeds {UNITARY_TOL}"
         )
     arr.flags.writeable = False
     return arr
@@ -330,38 +329,6 @@ class PenalizedOutcome(NamedTuple):
     report: CollapseReport
 
 
-def _sphere_ascend(x, value_fn, grad_fn, step_size, max_iters, grad_tol):
-    """Projected gradient ascent on the unit sphere; returns (x, f, trace, iters, converged)."""
-    f = value_fn(x)
-    trace = [f]
-    iterations = 0
-    converged = False
-    for _ in range(max_iters):
-        tangent = _tangent(x, grad_fn(x))
-        if float(np.max(np.abs(tangent))) <= grad_tol:
-            converged = True
-            break
-        iterations += 1
-        step = step_size
-        moved = False
-        while step >= _MIN_STEP:
-            candidate = x + step * tangent
-            candidate /= np.linalg.norm(candidate)
-            fc = value_fn(candidate)
-            if fc >= f:
-                x, f = candidate, fc
-                moved = True
-                break
-            step *= 0.5
-        trace.append(f)
-        if not moved:
-            break
-    else:
-        tangent = _tangent(x, grad_fn(x))
-        converged = float(np.max(np.abs(tangent))) <= grad_tol
-    return x, f, trace, iterations, converged
-
-
 def _initial_path(a: np.ndarray, b: np.ndarray, steps: int, normalized: bool) -> np.ndarray:
     """Endpoint-pinned starting path: great-circle interpolation on the real
     sphere (cos of the arc = Re<a|b>) when interiors are normalized, plain
@@ -466,7 +433,7 @@ def optimize_penalized(
         def end_grad(x):
             return 0.5 * u - end_weight * measure.gradient_conj(x)
 
-    x, _, endpoint_trace, iterations, end_converged = _sphere_ascend(
+    x, _, endpoint_trace, _, iterations, end_converged = _sphere_ascend(
         u.copy(), end_value, end_grad, config.step_size, config.max_iters, config.grad_tol
     )
 
@@ -513,10 +480,10 @@ def optimize_penalized(
                     def slice_grad(y):
                         return midpoint - lam * dt * measure.gradient_conj(y)
 
-                    states[k], _, _, _, _ = _sphere_ascend(
+                    states[k] = _sphere_ascend(
                         phi, slice_value, slice_grad,
                         config.step_size, _MAX_SLICE_ITERS, config.grad_tol,
-                    )
+                    )[0]
             updated = path_value(states)
             sweep_trace.append(updated)
             if updated - current <= 1e-12 * (1.0 + abs(updated)):

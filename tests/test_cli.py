@@ -250,7 +250,112 @@ def test_explicit_hamiltonian_rejects_random_fields(tmp_path, capsys):
         ),
     )
     assert main(["zeval", "--config", str(config)]) == 2
-    assert "takes no" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config invalid at hamiltonian" in err
+    assert "'dim'" in err
+
+
+HALF_FLIP = [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+BASIS_AMPLITUDES = [[1.0, 0.0], [0.0, 0.0]]
+
+# (subcommand, config, where the error is reported, the field it names);
+# each kind admits only its own fields, so a field of another kind is refused
+KIND_FIELD_VIOLATIONS = {
+    "random_hamiltonian_with_matrix": (
+        "zeval",
+        dict(RANDOM_ZEVAL, hamiltonian={"kind": "random", "dim": 2, "seed": 0,
+                                        "matrix": HALF_FLIP}),
+        "hamiltonian", "matrix",
+    ),
+    "random_hamiltonian_without_dim": (
+        "zeval", dict(RANDOM_ZEVAL, hamiltonian={"kind": "random", "seed": 0}),
+        "hamiltonian", "dim",
+    ),
+    "explicit_hamiltonian_with_seed": (
+        "zeval",
+        dict(RANDOM_ZEVAL, hamiltonian={"kind": "explicit", "seed": 2, "matrix": HALF_FLIP}),
+        "hamiltonian", "seed",
+    ),
+    "explicit_hamiltonian_with_energy_scale": (
+        "zeval",
+        dict(RANDOM_ZEVAL, hamiltonian={"kind": "explicit", "energy_scale": 2.0,
+                                        "matrix": HALF_FLIP}),
+        "hamiltonian", "energy_scale",
+    ),
+    "explicit_hamiltonian_without_matrix": (
+        "zeval", dict(RANDOM_ZEVAL, hamiltonian={"kind": "explicit"}),
+        "hamiltonian", "matrix",
+    ),
+    "random_state_with_amplitudes": (
+        "zeval",
+        dict(RANDOM_ZEVAL, psi_i={"kind": "random", "seed": 1,
+                                  "amplitudes": BASIS_AMPLITUDES}),
+        "psi_i", "amplitudes",
+    ),
+    "explicit_state_with_dim": (
+        "optimize",
+        {
+            "psi_i": {"kind": "explicit", "dim": 2, "amplitudes": BASIS_AMPLITUDES},
+            "hamiltonian": {"kind": "random", "dim": 2, "seed": 0},
+            "t": 1.0,
+        },
+        "psi_i", "dim",
+    ),
+    "explicit_state_with_seed": (
+        "zeval",
+        dict(RANDOM_ZEVAL, psi_e={"kind": "explicit", "seed": 3,
+                                  "amplitudes": BASIS_AMPLITUDES}),
+        "psi_e", "seed",
+    ),
+    "explicit_state_without_amplitudes": (
+        "zeval", dict(RANDOM_ZEVAL, psi_i={"kind": "explicit"}),
+        "psi_i", "amplitudes",
+    ),
+    "evolved_state_with_dim": (
+        "zeval", dict(RANDOM_ZEVAL, psi_e={"kind": "evolved", "dim": 4}),
+        "psi_e", "dim",
+    ),
+    "evolved_state_with_amplitudes": (
+        "zeval",
+        dict(RANDOM_ZEVAL, psi_e={"kind": "evolved", "amplitudes": BASIS_AMPLITUDES}),
+        "psi_e", "amplitudes",
+    ),
+    "evolved_initial_state": (
+        "zeval", dict(RANDOM_ZEVAL, psi_i={"kind": "evolved"}),
+        "psi_i/kind", "evolved",
+    ),
+    "pointer_deviation_with_partition": (
+        "collapse",
+        {"lambdas": [1.0], "measure": {"kind": "pointer_deviation", "partition": [2, 2]}},
+        "measure", "partition",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "command, payload, where, field",
+    list(KIND_FIELD_VIOLATIONS.values()),
+    ids=list(KIND_FIELD_VIOLATIONS),
+)
+def test_kind_field_violation_is_one_schema_error(command, payload, where, field,
+                                                  tmp_path, capsys):
+    config = _write(tmp_path, "cfg.json", payload)
+    assert main([command, "--config", str(config)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"error: config invalid at {where}: ")
+    assert f"'{field}'" in lines[0]
+
+
+def test_schema_range_violation_still_names_the_field(tmp_path, capsys):
+    bad = dict(RANDOM_ZEVAL, hamiltonian={"kind": "random", "dim": 0, "seed": 0})
+    config = _write(tmp_path, "cfg.json", bad)
+    assert main(["zeval", "--config", str(config)]) == 2
+    assert capsys.readouterr().err == (
+        "error: config invalid at hamiltonian/dim: 0 is less than the minimum of 1\n"
+    )
 
 
 def test_non_hermitian_matrix_is_a_domain_error(tmp_path, capsys):
