@@ -293,7 +293,6 @@ def monte_carlo_estimate(
     problem: CoherentChainProblem,
     samples: int,
     seed: int,
-    substreams: int = 1,
 ) -> tuple[complex, float]:
     """Importance-sampled estimate of the interior chain integral.
 
@@ -303,10 +302,8 @@ def monte_carlo_estimate(
     the complex sample mean, so the true value lies within three standard
     errors with the usual confidence.
 
-    Results are deterministic for a fixed (seed, samples, substreams)
-    triple: the sample budget is split across substreams whose generators
-    mix the stream index into the seed, so the same numbers can be produced
-    by parallel workers and merged in stream order.
+    Results are deterministic for a fixed (seed, samples) pair: every
+    sample comes from the one generator ``default_rng([seed, 0])``.
     """
     n = problem.grid.steps
     if n > MAX_MC_STEPS:
@@ -318,9 +315,6 @@ def monte_carlo_estimate(
     samples = int(samples)
     if samples < MIN_MC_SAMPLES:
         raise ValueError(f"samples must be >= {MIN_MC_SAMPLES}, got {samples}")
-    substreams = int(substreams)
-    if substreams < 1 or substreams > samples:
-        raise ValueError(f"substreams must be in [1, samples], got {substreams}")
     seed = int(seed)
     if seed < 0:
         raise ValueError(f"seed must be a nonnegative integer, got {seed}")
@@ -331,26 +325,18 @@ def monte_carlo_estimate(
         # no interior variables: the chain value is exact
         return complex(boundary * np.exp(c * np.conj(problem.zf) * problem.z0)), 0.0
 
-    base, extra = divmod(samples, substreams)
-    counts = [base + (1 if s < extra else 0) for s in range(substreams)]
-    total = 0.0 + 0.0j
-    total_abs_sq = 0.0
-    for stream, count in enumerate(counts):
-        if count == 0:
-            continue
-        rng = np.random.default_rng([seed, stream])
-        interior = math.sqrt(0.5) * (
-            rng.standard_normal((count, n - 1)) + 1j * rng.standard_normal((count, n - 1))
-        )
-        chain = np.empty((count, n + 1), dtype=np.complex128)
-        chain[:, 0] = problem.z0
-        chain[:, 1:-1] = interior
-        chain[:, -1] = problem.zf
-        weights = np.exp(c * np.sum(np.conj(chain[:, 1:]) * chain[:, :-1], axis=1))
-        total += complex(weights.sum())
-        total_abs_sq += float(np.sum(np.abs(weights) ** 2))
+    rng = np.random.default_rng([seed, 0])
+    interior = math.sqrt(0.5) * (
+        rng.standard_normal((samples, n - 1)) + 1j * rng.standard_normal((samples, n - 1))
+    )
+    chain = np.empty((samples, n + 1), dtype=np.complex128)
+    chain[:, 0] = problem.z0
+    chain[:, 1:-1] = interior
+    chain[:, -1] = problem.zf
+    weights = np.exp(c * np.sum(np.conj(chain[:, 1:]) * chain[:, :-1], axis=1))
+    total_abs_sq = float(np.sum(np.abs(weights) ** 2))
 
-    mean = total / samples
+    mean = complex(weights.sum()) / samples
     variance = max(0.0, total_abs_sq - samples * abs(mean) ** 2) / (samples - 1)
     stderr = boundary * math.sqrt(variance / samples)
     return complex(boundary * mean), float(stderr)

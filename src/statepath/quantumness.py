@@ -36,7 +36,7 @@ from .hilbert import (
     _unitary_drift,
     evolve,
 )
-from .lattice import PathLattice, TimeGrid
+from .lattice import TimeGrid
 from .optimizer import OptimizerConfig, _sphere_ascend
 
 __all__ = [
@@ -193,17 +193,15 @@ class PenaltyConfig:
 class PenalizedPathProblem:
     """A penalized path-weight maximization instance.
 
-    ``interior_normalization`` keeps interior slices on the unit sphere so
-    the measure (defined for normalized states) applies along the whole
-    path. Turning it off exposes the free-coefficient picture and is only
-    admitted at lam = 0, where Q is never evaluated.
+    Every slice of the path lives on the unit sphere, where the measure is
+    defined; free-coefficient paths are the coherent chain's job
+    (:mod:`statepath.lattice`).
     """
 
     psi_i: StateVector
     grid: TimeGrid
     hamiltonian: Hamiltonian
     penalty: PenaltyConfig
-    interior_normalization: bool = True
 
     def __post_init__(self) -> None:
         dim = self.hamiltonian.matrix.shape[0]
@@ -216,53 +214,37 @@ class PenalizedPathProblem:
                 f"measure dimension {self.penalty.measure.dim} does not match "
                 f"Hamiltonian dimension {dim}"
             )
-        if not self.interior_normalization and self.penalty.lam != 0.0:
-            raise ValueError(
-                "unnormalized interiors are only supported at lam = 0: the "
-                "quantumness measures are defined on normalized states"
-            )
 
 
-def _path_matrix(path, dim: int | None = None) -> np.ndarray:
-    """Stack a path into a (steps+1, dim) array of row states."""
-    if isinstance(path, PathLattice):
-        arr = np.array(path.coefficients.T)
-    elif isinstance(path, np.ndarray):
-        arr = np.array(path, dtype=np.complex128)
-    else:
-        rows = [p.amplitudes if isinstance(p, StateVector) else np.asarray(p) for p in path]
-        arr = np.array(rows, dtype=np.complex128)
-    if arr.ndim != 2:
-        raise ValueError(f"path must stack to a 2-d array, got shape {arr.shape}")
-    if dim is not None and arr.shape[1] != dim:
-        raise ValueError(f"path states have dimension {arr.shape[1]}, expected {dim}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("path contains non-finite entries")
-    return arr
+def _penalty_integral(rows: np.ndarray, measure: QuantumnessMeasure, dt: float) -> float:
+    """Trapezoid rule for the integral of Q along the path: w = dt at interior
+    nodes, dt/2 at the endpoints."""
+    weights = np.full(rows.shape[0], dt)
+    weights[0] = weights[-1] = 0.5 * dt
+    q_values = np.array([measure.value(row) for row in rows])
+    return float(weights @ q_values)
 
 
 def penalized_log_magnitude(
-    path,
+    path: np.ndarray,
     hamiltonian: Hamiltonian,
     penalty: PenaltyConfig,
     grid: TimeGrid,
-    interior_normalization: bool = True,
 ) -> float:
     """Log-magnitude of the discrete penalized path weight.
 
     Computes Im(S_dyn)/hbar - lam * sum_k w_k Q(Phi_k), with the action
     discretized as sum_k [i*hbar*<Phi_k|(Phi_{k+1}-Phi_k)> - <Phi_k|H|Phi_k>*dt]
     and the penalty integral quadratured by the trapezoid rule (w = dt at
-    interior nodes, dt/2 at the endpoints). ``path`` is a sequence of
-    StateVector, a (steps+1, dim) array of row states, or a PathLattice.
+    interior nodes, dt/2 at the endpoints). ``path`` is a (steps+1, dim)
+    array of normalized row states.
     """
-    if not interior_normalization and penalty.lam != 0.0:
-        raise ValueError(
-            "unnormalized interiors are only supported at lam = 0: the "
-            "quantumness measures are defined on normalized states"
-        )
     dim = hamiltonian.matrix.shape[0]
-    states = _path_matrix(path, dim)
+    states = np.array(path, dtype=np.complex128)
+    if states.ndim != 2 or states.shape[1] != dim:
+        raise ValueError(f"path must be a (steps+1, {dim}) array, got shape {states.shape}")
+    if not np.all(np.isfinite(states)):
+        raise ValueError("path contains non-finite entries")
     n = states.shape[0]
     if n != grid.steps + 1:
         raise ValueError(
@@ -273,12 +255,11 @@ def penalized_log_magnitude(
         raise ValueError(
             f"endpoint states must be normalized: norms {norms[0]!r}, {norms[-1]!r}"
         )
-    if interior_normalization and n > 2:
+    if n > 2:
         worst = float(np.max(np.abs(norms[1:-1] - 1.0)))
         if worst > _NORM_TOL:
             raise ValueError(
-                f"interior states must be normalized when interior_normalization "
-                f"is set: max norm deviation {worst:.3e}"
+                f"interior states must be normalized: max norm deviation {worst:.3e}"
             )
 
     left = states[:-1]
@@ -289,10 +270,7 @@ def penalized_log_magnitude(
     value = kinetic - (grid.dt / hamiltonian.hbar) * h_imag
 
     if penalty.lam > 0.0:
-        weights = np.full(n, grid.dt)
-        weights[0] = weights[-1] = 0.5 * grid.dt
-        q_values = np.array([penalty.measure.value(row) for row in states])
-        value -= penalty.lam * float(weights @ q_values)
+        value -= penalty.lam * _penalty_integral(states, penalty.measure, grid.dt)
     return float(value)
 
 
@@ -329,10 +307,9 @@ class PenalizedOutcome(NamedTuple):
     report: CollapseReport
 
 
-def _initial_path(a: np.ndarray, b: np.ndarray, steps: int, normalized: bool) -> np.ndarray:
+def _initial_path(a: np.ndarray, b: np.ndarray, steps: int) -> np.ndarray:
     """Endpoint-pinned starting path: great-circle interpolation on the real
-    sphere (cos of the arc = Re<a|b>) when interiors are normalized, plain
-    linear interpolation otherwise."""
+    sphere (cos of the arc = Re<a|b>)."""
     dim = a.size
     out = np.empty((steps + 1, dim), dtype=np.complex128)
     out[0] = a
@@ -342,9 +319,6 @@ def _initial_path(a: np.ndarray, b: np.ndarray, steps: int, normalized: bool) ->
     s = (np.arange(1, steps) / steps)[:, None]
     if np.array_equal(a, b):
         out[1:steps] = a
-        return out
-    if not normalized:
-        out[1:steps] = (1.0 - s) * a + s * b
         return out
     cos_arc = float(np.clip(np.real(np.vdot(a, b)), -1.0, 1.0))
     arc = math.acos(cos_arc)
@@ -392,9 +366,9 @@ def optimize_penalized(
     the unpenalized behaviour is recovered exactly. Stage two pins both
     endpoints and relaxes the interior slices by cyclic coordinate ascent of
     the discrete path weight: at lam = 0 each slice update is the
-    closed-form maximizer (the neighbours' midpoint, renormalized when
-    interiors live on the sphere), otherwise a short projected-gradient
-    ascent per slice. Both stages accept only non-decreasing moves.
+    closed-form maximizer (the neighbours' midpoint, renormalized), otherwise
+    a short projected-gradient ascent per slice. Both stages accept only
+    non-decreasing moves.
 
     The run is deterministic: no randomness enters either stage.
     ``reporting_basis`` supplies pointer states for the report when the
@@ -438,7 +412,7 @@ def optimize_penalized(
     )
 
     # stage two: interior relaxation with both endpoints pinned
-    states = _initial_path(psi_i, x, steps, problem.interior_normalization)
+    states = _initial_path(psi_i, x, steps)
 
     def path_value(rows) -> float:
         # the <Phi|H|Phi> action term is real for Hermitian H, hence phase
@@ -446,10 +420,7 @@ def optimize_penalized(
         left = rows[:-1]
         value = float(np.sum(np.real(np.einsum("ij,ij->", left.conj(), rows[1:] - left))))
         if lam > 0.0:
-            weights = np.full(rows.shape[0], dt)
-            weights[0] = weights[-1] = 0.5 * dt
-            q_values = np.array([measure.value(row) for row in rows])
-            value -= lam * float(weights @ q_values)
+            value -= lam * _penalty_integral(rows, measure, dt)
         return value
 
     current = path_value(states)
@@ -463,12 +434,9 @@ def optimize_penalized(
             for k in range(1, steps):
                 midpoint = 0.5 * (states[k - 1] + states[k + 1])
                 if lam == 0.0:
-                    if problem.interior_normalization:
-                        scale = float(np.linalg.norm(midpoint))
-                        if scale > 1e-300:
-                            states[k] = midpoint / scale
-                    else:
-                        states[k] = midpoint
+                    scale = float(np.linalg.norm(midpoint))
+                    if scale > 1e-300:
+                        states[k] = midpoint / scale
                 else:
                     phi = states[k]
 
@@ -493,9 +461,7 @@ def optimize_penalized(
             current = updated
 
     final_state = StateVector(x)
-    log_magnitude = penalized_log_magnitude(
-        states, problem.hamiltonian, problem.penalty, grid, problem.interior_normalization
-    )
+    log_magnitude = penalized_log_magnitude(states, problem.hamiltonian, problem.penalty, grid)
 
     basis = measure.pointer_basis
     if basis is None and reporting_basis is not None:

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import pytest
 
@@ -372,6 +373,91 @@ def test_non_hermitian_matrix_is_a_domain_error(tmp_path, capsys):
     )
     assert main(["zeval", "--config", str(config)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+RANDOM_OPTIMIZE = {
+    "psi_i": {"kind": "random", "seed": 1},
+    "hamiltonian": {"kind": "random", "dim": 3, "seed": 0},
+    "t": 0.7,
+}
+LATTICE = {"z0": [1.0, 0.0], "zf": [0.5, 0.5], "energy": 1.0, "t_end": 1.0, "n_list": [1, 10]}
+
+# (command, base config, path to the number, field name the message must carry)
+NON_FINITE_FIELDS = {
+    "zeval-t": ("zeval", RANDOM_ZEVAL, ("t",), "t"),
+    "optimize-t": ("optimize", RANDOM_OPTIMIZE, ("t",), "t"),
+    "hamiltonian-hbar": ("zeval", RANDOM_ZEVAL, ("hamiltonian", "hbar"), "hbar"),
+    "energy_scale": ("optimize", RANDOM_OPTIMIZE, ("hamiltonian", "energy_scale"),
+                     "energy_scale"),
+    "lattice-hbar": ("lattice", LATTICE, ("hbar",), "hbar"),
+    "t_start": ("lattice", LATTICE, ("t_start",), "t_start"),
+    "t_end": ("lattice", LATTICE, ("t_end",), "t_end"),
+    "energy": ("lattice", LATTICE, ("energy",), "energy"),
+    "collapse-t_end": ("collapse", {"lambdas": [0.0]}, ("t_end",), "t_end"),
+    "model-hbar": ("collapse", {"lambdas": [0.0]}, ("model", "hbar"), "hbar"),
+    "coupling": ("collapse", {"lambdas": [0.0]}, ("model", "coupling"), "coupling"),
+}
+
+
+def _single_error_line(capsys):
+    """The one ``error:`` line on stderr, with nothing on stdout."""
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: ")
+    return lines[0]
+
+
+def _with(base, path, value):
+    """Deep copy of ``base`` with the entry at ``path`` set to ``value``."""
+    payload = json.loads(json.dumps(base))
+    node = payload
+    for key in path[:-1]:
+        node = node.setdefault(key, {})
+    node[path[-1]] = value
+    return payload
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf], ids=["NaN", "Infinity"])
+@pytest.mark.parametrize(
+    "command, base, path, field", list(NON_FINITE_FIELDS.values()), ids=list(NON_FINITE_FIELDS)
+)
+def test_non_finite_number_is_one_error_naming_the_field(command, base, path, field, value,
+                                                         tmp_path, capsys):
+    config = _write(tmp_path, "cfg.json", _with(base, path, value))
+    assert main([command, "--config", str(config)]) == 2
+    assert re.search(rf"\b{field}\b", _single_error_line(capsys))
+
+
+HUGE = 10**400
+
+HUGE_INTEGERS = {
+    "zeval-t": ("zeval", _with(RANDOM_ZEVAL, ("t",), HUGE)),
+    "lattice-energy": ("lattice", _with(LATTICE, ("energy",), HUGE)),
+    "amplitude": ("zeval", _with(
+        RANDOM_ZEVAL, ("psi_i",), {"kind": "explicit", "amplitudes": [[HUGE, 0], [0, 0]]}
+    )),
+    "lambda": ("collapse", {"lambdas": [0.0, HUGE]}),
+    "coupling": ("collapse", {"lambdas": [0.0], "model": {"coupling": HUGE}}),
+}
+
+
+@pytest.mark.parametrize(
+    "command, payload", list(HUGE_INTEGERS.values()), ids=list(HUGE_INTEGERS)
+)
+def test_huge_integer_is_one_error_line(command, payload, tmp_path, capsys):
+    config = _write(tmp_path, "cfg.json", payload)
+    assert main([command, "--config", str(config)]) == 2
+    _single_error_line(capsys)
+
+
+def test_unwritable_out_path_is_one_error_line(tmp_path, capsys):
+    config = _write(tmp_path, "cfg.json", RANDOM_ZEVAL)
+    out = tmp_path / "no" / "such" / "x.json"
+    assert main(["zeval", "--config", str(config), "--out", str(out)]) == 2
+    _single_error_line(capsys)
+    assert not out.exists()
 
 
 def test_missing_config_file(tmp_path, capsys):

@@ -9,7 +9,6 @@ from statepath import (
     Hamiltonian,
     MeasureKind,
     OptimizerConfig,
-    PathLattice,
     PenalizedPathProblem,
     PenaltyConfig,
     QuantumnessMeasure,
@@ -241,21 +240,6 @@ def test_weight_decreases_with_the_penalty_rate():
     assert values[0] > values[1] > values[2]
 
 
-def test_path_input_forms_agree():
-    grid = TimeGrid(0.0, 1.0, 2)
-    rows = np.array(
-        [[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]], dtype=np.complex128
-    )
-    h = Hamiltonian(np.zeros((2, 2)))
-    penalty = _zero_penalty(2)
-    from_array = penalized_log_magnitude(rows, h, penalty, grid)
-    from_states = penalized_log_magnitude(
-        [StateVector(r) for r in rows], h, penalty, grid
-    )
-    from_lattice = penalized_log_magnitude(PathLattice(grid, rows.T), h, penalty, grid)
-    assert from_array == from_states == from_lattice
-
-
 def test_weight_rejects_unnormalized_endpoints():
     grid = TimeGrid(0.0, 1.0, 2)
     rows = np.array([[0.5, 0.0], [1.0, 0.0], [1.0, 0.0]], dtype=np.complex128)
@@ -277,29 +261,6 @@ def test_weight_rejects_wandering_interiors_when_normalized():
         penalized_log_magnitude(rows, Hamiltonian(np.zeros((2, 2))), _zero_penalty(2), grid)
 
 
-def test_weight_allows_free_interiors_without_penalty():
-    grid = TimeGrid(0.0, 1.0, 2)
-    rows = np.array([[1.0, 0.0], [2.0, 0.0], [1.0, 0.0]], dtype=np.complex128)
-    value = penalized_log_magnitude(
-        rows,
-        Hamiltonian(np.zeros((2, 2))),
-        _zero_penalty(2),
-        grid,
-        interior_normalization=False,
-    )
-    assert math.isfinite(value)
-
-
-def test_weight_refuses_free_interiors_with_penalty():
-    grid = TimeGrid(0.0, 1.0, 2)
-    rows = np.tile(E0, (3, 1))
-    penalty = PenaltyConfig(1.0, QuantumnessMeasure.pointer(np.eye(2)))
-    with pytest.raises(ValueError, match="lam = 0"):
-        penalized_log_magnitude(
-            rows, Hamiltonian(np.zeros((2, 2))), penalty, grid, interior_normalization=False
-        )
-
-
 def test_penalty_config_rejects_negative_rate():
     with pytest.raises(ValueError, match="lam"):
         PenaltyConfig(-1.0, QuantumnessMeasure.pointer(np.eye(2)))
@@ -314,14 +275,6 @@ def test_problem_dimension_checks():
     with pytest.raises(ValueError, match="measure dimension"):
         PenalizedPathProblem(
             StateVector(E0), grid, Hamiltonian(np.zeros((2, 2))), _zero_penalty(3)
-        )
-    with pytest.raises(ValueError, match="lam = 0"):
-        PenalizedPathProblem(
-            StateVector(E0),
-            grid,
-            Hamiltonian(np.zeros((2, 2))),
-            PenaltyConfig(1.0, QuantumnessMeasure.pointer(np.eye(2))),
-            interior_normalization=False,
         )
 
 
@@ -416,20 +369,6 @@ def test_entropy_penalty_with_a_reporting_basis():
     assert blind.report.nearest_pointer_index is None
     assert blind.report.fidelity_to_pointer is None
     assert blind.report.pointer_ties == ()
-
-
-def test_free_interior_run_without_penalty():
-    hamiltonian = random_hamiltonian(3, 80)
-    psi_i = random_state(3, 81)
-    grid = TimeGrid(0.0, 1.0, 6)
-    problem = PenalizedPathProblem(
-        psi_i, grid, hamiltonian, _zero_penalty(3), interior_normalization=False
-    )
-    outcome = optimize_penalized(problem)
-    evolved = evolve(hamiltonian, psi_i, 1.0)
-    fidelity = abs(np.vdot(outcome.final_state.amplitudes, evolved.amplitudes)) ** 2
-    assert fidelity >= 1.0 - 1e-12
-    assert math.isfinite(outcome.log_magnitude)
 
 
 def test_single_slice_run_skips_the_interior_stage():
