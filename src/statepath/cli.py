@@ -59,6 +59,17 @@ from .serialize import (
 
 __all__ = ["main", "entry"]
 
+# Caps, checked by the schema before any work starts. Each keeps the slowest
+# run at its cap, other fields at their defaults, near 10 s on a 2-core
+# x86 VM: the eigh of a random H (dim), an unconverged collapse (max_iters,
+# steps, lambdas) or the exact chain reduction (n_list).
+_MAX_DIM = 1536
+_MAX_ITERS = 1000
+_MAX_STEPS = 64
+_MAX_LAMBDAS = 64
+_MAX_SLICES = 10**7
+_MAX_SLICE_COUNTS = 10
+
 _COMPLEX_PAIR = {
     "type": "array",
     "prefixItems": [{"type": "number"}, {"type": "number"}],
@@ -95,7 +106,7 @@ def _state_spec(kinds: list) -> dict:
         "type": "object",
         "properties": {
             "kind": {"enum": kinds},
-            "dim": {"type": "integer", "minimum": 1},
+            "dim": {"type": "integer", "minimum": 1, "maximum": _MAX_DIM},
             "seed": {"type": "integer", "minimum": 0},
             "amplitudes": _VECTOR,
         },
@@ -113,7 +124,7 @@ _HAMILTONIAN_SPEC = {
     "type": "object",
     "properties": {
         "kind": {"enum": ["random", "explicit"]},
-        "dim": {"type": "integer", "minimum": 1},
+        "dim": {"type": "integer", "minimum": 1, "maximum": _MAX_DIM},
         "seed": {"type": "integer", "minimum": 0},
         "energy_scale": {"type": "number", "exclusiveMinimum": 0},
         "matrix": _MATRIX,
@@ -131,7 +142,7 @@ _OPTIMIZER_SPEC = {
     "type": "object",
     "properties": {
         "step_size": {"type": "number", "exclusiveMinimum": 0},
-        "max_iters": {"type": "integer", "minimum": 1},
+        "max_iters": {"type": "integer", "minimum": 1, "maximum": _MAX_ITERS},
         "grad_tol": {"type": "number", "exclusiveMinimum": 0},
         "seed": {"type": "integer", "minimum": 0},
     },
@@ -163,7 +174,8 @@ _SCHEMAS = {
             "n_list": {
                 "type": "array",
                 "minItems": 1,
-                "items": {"type": "integer", "minimum": 1},
+                "maxItems": _MAX_SLICE_COUNTS,
+                "items": {"type": "integer", "minimum": 1, "maximum": _MAX_SLICES},
             },
             "hbar": {"type": "number", "exclusiveMinimum": 0},
         },
@@ -196,10 +208,11 @@ _SCHEMAS = {
                 "additionalProperties": False,
             },
             "t_end": {"type": "number", "exclusiveMinimum": 0},
-            "steps": {"type": "integer", "minimum": 1},
+            "steps": {"type": "integer", "minimum": 1, "maximum": _MAX_STEPS},
             "lambdas": {
                 "type": "array",
                 "minItems": 1,
+                "maxItems": _MAX_LAMBDAS,
                 "items": {"type": "number", "minimum": 0},
             },
             "measure": {
@@ -541,6 +554,30 @@ _SELFTESTS = {
 }
 
 
+def _where(path) -> str:
+    return "/".join(str(part) for part in path) or "(top level)"
+
+
+def _oversized_integer(node, path=()):
+    """Path and digit count of the first JSON integer that no float can hold."""
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        if isinstance(node, int) and not isinstance(node, bool):
+            try:
+                float(node)
+            except OverflowError:
+                return path, len(str(abs(node)))
+        return None
+    for key, value in children:
+        found = _oversized_integer(value, (*path, key))
+        if found is not None:
+            return found
+    return None
+
+
 def _seed_value(text: str) -> int:
     value = int(text)
     if not 0 <= value < 2**64:
@@ -582,15 +619,23 @@ def main(argv=None) -> int:
         raw = args.config.read_text(encoding="utf-8")
         cfg = json.loads(raw)
         jsonschema.validate(cfg, _SCHEMAS[args.command])
+        oversized = _oversized_integer(cfg)
+        if oversized is not None:
+            path, digits = oversized
+            raise ValueError(f"config invalid at {_where(path)}: an integer of {digits} "
+                             f"digits does not fit a float")
         text, code = _HANDLERS[args.command](cfg, args.seed)
         if args.out is not None:
             args.out.write_text(text, encoding="utf-8")
     except jsonschema.ValidationError as exc:
-        where = "/".join(str(part) for part in exc.absolute_path) or "(top level)"
-        print(f"error: config invalid at {where}: {exc.message}", file=sys.stderr)
+        print(f"error: config invalid at {_where(exc.absolute_path)}: {exc.message}",
+              file=sys.stderr)
         return 2
     except (ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory{f': {exc}' if str(exc) else ''}", file=sys.stderr)
         return 2
 
     if args.out is None:

@@ -56,6 +56,8 @@ __all__ = [
 _NORM_TOL = 1e-9
 _TIE_TOL = 1e-9
 _MAX_SLICE_ITERS = 64
+_SECULAR_STEPS = 16
+_SECULAR_RTOL = 4.0 * np.finfo(float).eps
 
 
 class MeasureKind(str, Enum):
@@ -135,6 +137,19 @@ class QuantumnessMeasure:
         rho_a = m @ m.conj().T
         purity = float(np.real(np.trace(rho_a @ rho_a)))
         return float(max(0.0, 1.0 - purity))
+
+    def values(self, rows: np.ndarray) -> np.ndarray:
+        """Q of every row of an (n, dim) array of normalized states; ``value``
+        row by row, up to rounding."""
+        rows = np.asarray(rows, dtype=np.complex128)
+        if self.kind is MeasureKind.POINTER_DEVIATION:
+            fidelities = np.abs(rows @ self.pointer_basis.conj()) ** 2
+            return np.maximum(0.0, 1.0 - fidelities.max(axis=1))
+        d_a, d_b = self.partition
+        m = rows.reshape(-1, d_a, d_b)
+        rho_a = m @ m.conj().transpose(0, 2, 1)
+        purity = np.real(np.einsum("nij,nji->n", rho_a, rho_a))
+        return np.maximum(0.0, 1.0 - purity)
 
     def gradient_conj(self, psi: np.ndarray) -> np.ndarray:
         """dQ / d conj(psi), the Wirtinger gradient matching ``value``.
@@ -221,8 +236,7 @@ def _penalty_integral(rows: np.ndarray, measure: QuantumnessMeasure, dt: float) 
     nodes, dt/2 at the endpoints."""
     weights = np.full(rows.shape[0], dt)
     weights[0] = weights[-1] = 0.5 * dt
-    q_values = np.array([measure.value(row) for row in rows])
-    return float(weights @ q_values)
+    return float(weights @ measure.values(rows))
 
 
 def penalized_log_magnitude(
@@ -352,6 +366,87 @@ def _pointer_summary(x: np.ndarray, basis: Optional[np.ndarray]):
     return nearest, best, ties
 
 
+def _slice_values(rows: np.ndarray, mids: np.ndarray, measure: QuantumnessMeasure,
+                  c: float) -> np.ndarray:
+    """The slice objective 2 Re<y|m> - c Q(y) of each row y against its midpoint m."""
+    return 2.0 * np.real(np.einsum("ij,ij->i", rows.conj(), mids)) - c * measure.values(rows)
+
+
+def _pointer_slice_solve(mids: np.ndarray, measure: QuantumnessMeasure, c: float):
+    """Exact maximizer of 2 Re<y|m> - c Q(y) over unit y for each row m of
+    ``mids``, with Q the pointer deviation and c >= 0; returns the maximizing
+    rows and their values.
+
+    Q = 1 - max_k |<p_k|y>|^2, so the maximum is the best over k of the
+    rank-one trust-region problem max 2 Re<y|m> + c |<p_k|y>|^2 (Moré &
+    Sorensen, SIAM J. Sci. Stat. Comput. 4, 1983). Write m = a p_k + m_perp,
+    A = |a| and B = |m_perp|. The problem lives in the plane of p_k and
+    m_perp, and for fixed |m| its value does not decrease as A grows, so the
+    best k is the pointer with the largest overlap (the lowest index on a
+    tie). Its maximizer is y = m_perp / (t + c) + (a / t) p_k, where
+    t = mu - c > 0 and mu is the multiplier: |y(t)| = 1, i.e.
+    A^2/t^2 + B^2/(t+c)^2 = 1. The function 1/|y(t)| is increasing and
+    concave (Cauchy-Schwarz), so Newton on it from the lower bound
+    max(A, B - c) rises monotonically to the root. The shift t, rather than
+    mu, keeps the root from rounding away against c. Because the chosen
+    overlap is the largest, A >= |m| / sqrt(dim), so the hard case of the
+    trust-region problem (A = 0 with B <= c) arises only at m = 0, where
+    every pointer state is a maximizer and y = p_k is taken.
+    """
+    basis = measure.pointer_basis
+    amps = mids @ basis.conj()  # (rows, pointers): <p_k|m>
+    best = np.argmax(np.abs(amps), axis=1)
+    a = amps[np.arange(len(mids)), best]
+    pointers = basis.T[best]
+    perp = mids - a[:, None] * pointers
+    a = np.where(a == 0.0, 1.0, a)  # m = 0: y = p_k
+    big_a = np.abs(a)
+    big_b = np.linalg.norm(perp, axis=1)
+    t = np.maximum(big_a, big_b - c)
+    for _ in range(_SECULAR_STEPS):
+        r2 = (big_a / t) ** 2
+        s = t + c
+        q2 = (big_b / s) ** 2
+        phi = r2 + q2  # |y(t)|^2
+        step = phi * (np.sqrt(phi) - 1.0) / (r2 / t + q2 / s)
+        t = t + step
+        if (step <= _SECULAR_RTOL * t).all():
+            break
+    y = perp / (t + c)[:, None] + (a / t)[:, None] * pointers
+    y /= np.linalg.norm(y, axis=1)[:, None]
+    return y, _slice_values(y, mids, measure, c)
+
+
+def _relax_colour(rows: np.ndarray, mids: np.ndarray, measure: QuantumnessMeasure,
+                  c: float, config: OptimizerConfig) -> np.ndarray:
+    """New rows for one colour's slices, each maximizing the slice objective
+    2 Re<y|m> - c Q(y) against its neighbours' midpoint m; no slice's value
+    decreases."""
+    if c == 0.0:
+        norms = np.linalg.norm(mids, axis=1)
+        moved = norms > 1e-300
+        safe = np.where(moved, norms, 1.0)[:, None]
+        return np.where(moved[:, None], mids / safe, rows)
+    if measure.kind is MeasureKind.POINTER_DEVIATION:
+        new, new_values = _pointer_slice_solve(mids, measure, c)
+        keep = new_values < _slice_values(rows, mids, measure, c)
+        return np.where(keep[:, None], rows, new)
+    out = rows.copy()
+    for j, midpoint in enumerate(mids):
+
+        def slice_value(y):
+            return float(2.0 * np.real(np.vdot(y, midpoint)) - c * measure.value(y))
+
+        def slice_grad(y):
+            return midpoint - c * measure.gradient_conj(y)
+
+        out[j] = _sphere_ascend(
+            rows[j], slice_value, slice_grad,
+            config.step_size, _MAX_SLICE_ITERS, config.grad_tol,
+        )[0]
+    return out
+
+
 def optimize_penalized(
     problem: PenalizedPathProblem,
     config: OptimizerConfig | None = None,
@@ -364,10 +459,13 @@ def optimize_penalized(
     share of the penalty, is ascended on the unit sphere starting from the
     evolved state. At lam = 0 the start is already the unique maximizer, so
     the unpenalized behaviour is recovered exactly. Stage two pins both
-    endpoints and relaxes the interior slices by cyclic coordinate ascent of
-    the discrete path weight: at lam = 0 each slice update is the
-    closed-form maximizer (the neighbours' midpoint, renormalized), otherwise
-    a short projected-gradient ascent per slice. Both stages accept only
+    endpoints and relaxes the interior slices by red-black block coordinate
+    ascent of the discrete path weight (Saad, *Iterative Methods for Sparse
+    Linear Systems*, sec. 12.4): each sweep updates every odd slice at once,
+    then every even one. A slice update is the closed-form maximizer at
+    lam = 0 (the neighbours' midpoint, renormalized), the exact solve of
+    ``_pointer_slice_solve`` for the pointer measure, and otherwise a short
+    projected-gradient ascent per slice. Both stages accept only
     non-decreasing moves.
 
     The run is deterministic: no randomness enters either stage.
@@ -429,29 +527,14 @@ def optimize_penalized(
     relax_converged = True
     if steps >= 2:
         relax_converged = False
+        # red-black ordering: a slice sees only its two neighbours, so each
+        # colour is a set of independent slice problems
+        colours = [ks for ks in (np.arange(1, steps, 2), np.arange(2, steps, 2)) if ks.size]
         for _ in range(config.max_iters):
             sweeps += 1
-            for k in range(1, steps):
-                midpoint = 0.5 * (states[k - 1] + states[k + 1])
-                if lam == 0.0:
-                    scale = float(np.linalg.norm(midpoint))
-                    if scale > 1e-300:
-                        states[k] = midpoint / scale
-                else:
-                    phi = states[k]
-
-                    def slice_value(y):
-                        return float(
-                            2.0 * np.real(np.vdot(y, midpoint)) - lam * dt * measure.value(y)
-                        )
-
-                    def slice_grad(y):
-                        return midpoint - lam * dt * measure.gradient_conj(y)
-
-                    states[k] = _sphere_ascend(
-                        phi, slice_value, slice_grad,
-                        config.step_size, _MAX_SLICE_ITERS, config.grad_tol,
-                    )[0]
+            for ks in colours:
+                mids = 0.5 * (states[ks - 1] + states[ks + 1])
+                states[ks] = _relax_colour(states[ks], mids, measure, lam * dt, config)
             updated = path_value(states)
             sweep_trace.append(updated)
             if updated - current <= 1e-12 * (1.0 + abs(updated)):
@@ -469,9 +552,7 @@ def optimize_penalized(
     nearest, best, ties = _pointer_summary(x, basis)
 
     row_norms = np.linalg.norm(states, axis=1)
-    q_trajectory = tuple(
-        float(measure.value(row / n)) for row, n in zip(states, row_norms)
-    )
+    q_trajectory = tuple(float(q) for q in measure.values(states / row_norms[:, None]))
 
     report = CollapseReport(
         lam=lam,

@@ -4,11 +4,21 @@ import json
 import math
 import re
 
+import jsonschema
 import pytest
 
 import numpy as np
 
-from statepath import random_hamiltonian
+from statepath import (
+    PenalizedPathProblem,
+    PenaltyConfig,
+    QuantumnessMeasure,
+    TimeGrid,
+    cli,
+    optimize_penalized,
+    qubit_detector_model,
+    random_hamiltonian,
+)
 from statepath.cli import _build_hamiltonian, main
 
 RANDOM_ZEVAL = {
@@ -143,6 +153,20 @@ def test_collapse_lambda_sweep(tmp_path, capsys):
     for row in rows:
         assert row["converged"] is True
         assert len(row["q_trajectory"]) == 5  # default four steps
+
+
+def test_collapse_row_equals_the_library_run_for_its_lambda_alone(tmp_path, capsys):
+    config = _write(tmp_path, "cfg.json", {"lambdas": [200.0, 5.0, 1.0], "steps": 12})
+    assert main(["collapse", "--config", str(config)]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    hamiltonian, psi_i, basis = qubit_detector_model()
+    for row in rows:
+        penalty = PenaltyConfig(row["lambda"], QuantumnessMeasure.pointer(basis))
+        problem = PenalizedPathProblem(psi_i, TimeGrid(0.0, 1.0, 12), hamiltonian, penalty)
+        report = optimize_penalized(problem, reporting_basis=basis).report
+        assert row["q_trajectory"] == list(report.q_trajectory)
+        assert row["log_magnitude"] == report.log_magnitude
+        assert row["converged"] == report.converged
 
 
 def test_collapse_csv_side_file(tmp_path, capsys):
@@ -432,24 +456,94 @@ def test_non_finite_number_is_one_error_naming_the_field(command, base, path, fi
 
 HUGE = 10**400
 
+# (command, config holding a 400-digit integer, the path the message must name)
 HUGE_INTEGERS = {
-    "zeval-t": ("zeval", _with(RANDOM_ZEVAL, ("t",), HUGE)),
-    "lattice-energy": ("lattice", _with(LATTICE, ("energy",), HUGE)),
+    "zeval-t": ("zeval", _with(RANDOM_ZEVAL, ("t",), HUGE), "t"),
+    "lattice-energy": ("lattice", _with(LATTICE, ("energy",), HUGE), "energy"),
     "amplitude": ("zeval", _with(
         RANDOM_ZEVAL, ("psi_i",), {"kind": "explicit", "amplitudes": [[HUGE, 0], [0, 0]]}
-    )),
-    "lambda": ("collapse", {"lambdas": [0.0, HUGE]}),
-    "coupling": ("collapse", {"lambdas": [0.0], "model": {"coupling": HUGE}}),
+    ), "psi_i/amplitudes/0/0"),
+    "lambda": ("collapse", {"lambdas": [0.0, HUGE]}, "lambdas/1"),
+    "coupling": ("collapse", {"lambdas": [0.0], "model": {"coupling": HUGE}},
+                 "model/coupling"),
+    "hbar": ("zeval", _with(RANDOM_ZEVAL, ("hamiltonian", "hbar"), HUGE), "hamiltonian/hbar"),
+    "energy_scale": ("optimize", _with(RANDOM_OPTIMIZE, ("hamiltonian", "energy_scale"), HUGE),
+                     "hamiltonian/energy_scale"),
+    "t_start": ("lattice", _with(LATTICE, ("t_start",), -HUGE), "t_start"),
+    "t_end": ("lattice", _with(LATTICE, ("t_end",), HUGE), "t_end"),
+    "collapse-t_end": ("collapse", {"lambdas": [0.0], "t_end": HUGE}, "t_end"),
+    "seed": ("zeval", _with(RANDOM_ZEVAL, ("psi_i", "seed"), HUGE), "psi_i/seed"),
 }
 
 
 @pytest.mark.parametrize(
-    "command, payload", list(HUGE_INTEGERS.values()), ids=list(HUGE_INTEGERS)
+    "command, payload, path", list(HUGE_INTEGERS.values()), ids=list(HUGE_INTEGERS)
 )
-def test_huge_integer_is_one_error_line(command, payload, tmp_path, capsys):
+def test_huge_integer_is_one_error_line(command, payload, path, tmp_path, capsys):
     config = _write(tmp_path, "cfg.json", payload)
     assert main([command, "--config", str(config)]) == 2
-    _single_error_line(capsys)
+    line = _single_error_line(capsys)
+    assert line.startswith(f"error: config invalid at {path}: ")
+    assert "401 digits" in line
+
+
+def test_oversized_integer_is_the_first_one_no_float_holds():
+    assert cli._oversized_integer({"t": 2**1023, "flag": True}) is None
+    assert cli._oversized_integer({"t": [0, 2**1024]}) == (("t", 1), len(str(2**1024)))
+    assert cli._oversized_integer({"flag": True, "n": -(10**400)}) == (("n",), 401)
+
+
+# (command, config, path, value at the cap, value past it): a cap is checked by
+# the schema alone, so these tests validate and never run a capped config
+CAPS = {
+    "hamiltonian-dim": ("zeval", RANDOM_ZEVAL, ("hamiltonian", "dim"),
+                        cli._MAX_DIM, cli._MAX_DIM + 1),
+    "state-dim": ("zeval", RANDOM_ZEVAL, ("psi_i", "dim"), cli._MAX_DIM, cli._MAX_DIM + 1),
+    "max_iters": ("optimize", RANDOM_OPTIMIZE, ("optimizer", "max_iters"),
+                  cli._MAX_ITERS, cli._MAX_ITERS + 1),
+    "collapse-max_iters": ("collapse", {"lambdas": [0.0]}, ("optimizer", "max_iters"),
+                           cli._MAX_ITERS, cli._MAX_ITERS + 1),
+    "steps": ("collapse", {"lambdas": [0.0]}, ("steps",), cli._MAX_STEPS, cli._MAX_STEPS + 1),
+    "n_list-item": ("lattice", LATTICE, ("n_list",),
+                    [1, cli._MAX_SLICES], [1, cli._MAX_SLICES + 1]),
+    "n_list-length": ("lattice", LATTICE, ("n_list",),
+                      list(range(1, cli._MAX_SLICE_COUNTS + 1)),
+                      list(range(1, cli._MAX_SLICE_COUNTS + 2))),
+    "lambdas-length": ("collapse", {"lambdas": [0.0]}, ("lambdas",),
+                       [0.0] * cli._MAX_LAMBDAS, [0.0] * (cli._MAX_LAMBDAS + 1)),
+}
+
+
+def _schema_errors(command, payload):
+    validator = jsonschema.Draft202012Validator(cli._SCHEMAS[command])
+    return ["/".join(str(part) for part in error.absolute_path)
+            for error in validator.iter_errors(payload)]
+
+
+@pytest.mark.parametrize(
+    "command, base, path, at_cap, past_cap", list(CAPS.values()), ids=list(CAPS)
+)
+def test_caps_admit_the_cap_and_refuse_one_more(command, base, path, at_cap, past_cap):
+    assert _schema_errors(command, _with(base, path, at_cap)) == []
+    errors = _schema_errors(command, _with(base, path, past_cap))
+    assert errors and all(e.startswith("/".join(path)) for e in errors)
+
+
+def test_caps_admit_the_benchmark_configs():
+    assert cli._MAX_SLICES >= 10**6 and cli._MAX_STEPS >= 32 and cli._MAX_DIM >= 64
+    assert _schema_errors("lattice", _with(LATTICE, ("n_list",), [10**k for k in range(2, 7)])) == []
+
+
+def test_out_of_memory_is_one_error_line(tmp_path, capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 149. GiB for an array")
+
+    monkeypatch.setattr(cli, "random_hamiltonian", exhausted)
+    config = _write(tmp_path, "cfg.json", RANDOM_ZEVAL)
+    assert main(["zeval", "--config", str(config)]) == 2
+    assert _single_error_line(capsys) == (
+        "error: out of memory: Unable to allocate 149. GiB for an array"
+    )
 
 
 def test_unwritable_out_path_is_one_error_line(tmp_path, capsys):

@@ -5,6 +5,11 @@ The stored outputs guard refactors that promise unchanged results. To add a
 case, drop ``<name>.json`` next to the others, add an entry to
 ``manifest.json`` and store the output of ``statepath <command> --config
 <name>.json [--seed N]`` as ``<name>.out`` from a known-good tree.
+
+A change that is meant to move stored bytes recaptures them with
+``python tests/golden/capture.py NAME...``: it rewrites the named ``.out``
+files from the current tree and prints the largest change of every JSON
+field, a report to quote in the change's notes.
 """
 
 import json

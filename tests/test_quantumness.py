@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from statepath import (
     Hamiltonian,
@@ -26,6 +28,8 @@ from statepath import (
     spectral_decompose,
     to_energy_coefficients,
 )
+from statepath.optimizer import _sphere_ascend
+from statepath.quantumness import _pointer_slice_solve, _slice_values
 from conftest import central_difference_gradient, relative_error
 
 E0 = np.array([1.0, 0.0], dtype=np.complex128)
@@ -392,6 +396,134 @@ def test_custom_config_is_honoured():
     problem = PenalizedPathProblem(psi_i, grid, hamiltonian, penalty)
     starved = optimize_penalized(problem, OptimizerConfig(max_iters=1, grad_tol=1e-6))
     assert not starved.report.converged
+
+
+# ------------------------------------------- exact pointer slice solve
+
+SLICE_RATES = [0.0, 1.0 / 32.0, 6.25, 100.0]
+
+
+def _best_ascent(midpoint, measure, c, seed, starts=8):
+    """Best slice value that projected-gradient ascent reaches from random starts."""
+    rng = np.random.default_rng(seed)
+    best = -math.inf
+    for _ in range(starts):
+        x = rng.standard_normal(midpoint.size) + 1j * rng.standard_normal(midpoint.size)
+        x /= np.linalg.norm(x)
+        f = _sphere_ascend(
+            x,
+            lambda y: float(2.0 * np.real(np.vdot(y, midpoint)) - c * measure.value(y)),
+            lambda y: midpoint - c * measure.gradient_conj(y),
+            0.5 / (1.0 + c), 200, 1e-9,
+        )[1]
+        best = max(best, f)
+    return best
+
+
+def _check_solution(rows, values, mids, measure, c):
+    assert np.all(np.isfinite(rows))
+    np.testing.assert_allclose(np.linalg.norm(rows, axis=1), 1.0, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(values, _slice_values(rows, mids, measure, c), rtol=0, atol=1e-12)
+
+
+@settings(deadline=None, derandomize=True, max_examples=25)
+@given(dim=st.integers(2, 5), seed=st.integers(0, 2**32 - 1),
+       c=st.sampled_from(SLICE_RATES), spread=st.floats(0.0, 1.0))
+def test_pointer_slice_solve_beats_multistart_ascent(dim, seed, c, spread):
+    # midpoints of two unit neighbours, from nearly equal to far apart
+    rng = np.random.default_rng(seed)
+    measure = QuantumnessMeasure.pointer(random_unitary(dim, seed))
+    left = random_state(dim, rng.integers(2**31)).amplitudes
+    right = (1.0 - spread) * left + spread * random_state(dim, rng.integers(2**31)).amplitudes
+    mids = np.array([0.5 * (left + right / np.linalg.norm(right))])
+    rows, values = _pointer_slice_solve(mids, measure, c)
+    _check_solution(rows, values, mids, measure, c)
+    assert values[0] >= _best_ascent(mids[0], measure, c, seed) - 1e-12
+
+
+def test_pointer_slice_solve_without_penalty_is_the_normalized_midpoint():
+    measure = QuantumnessMeasure.pointer(random_unitary(4, 90))
+    rng = np.random.default_rng(91)
+    mids = rng.standard_normal((16, 4)) + 1j * rng.standard_normal((16, 4))
+    rows, values = _pointer_slice_solve(mids, measure, 0.0)
+    expected = mids / np.linalg.norm(mids, axis=1)[:, None]
+    assert np.max(np.abs(rows - expected)) <= 1e-15
+    _check_solution(rows, values, mids, measure, 0.0)
+
+
+@pytest.mark.parametrize("c", SLICE_RATES)
+def test_pointer_slice_solve_hard_cases(c):
+    basis = random_unitary(4, 92)
+    measure = QuantumnessMeasure.pointer(basis)
+    p = basis.T
+    mids = np.array([
+        np.zeros(4),                                 # m = 0
+        0.3 * p[1],                                  # m orthogonal to p_0, p_2, p_3, B < c
+        0.2 * p[1] + 0.1j * p[2],                    # orthogonal to p_0 and p_3
+        1e-17 * p[0] + 0.05 * p[1] - 0.04 * p[3],   # c + A rounds to c for p_0
+        1e-300 * (p[0] + 1j * p[2]),                 # a vanishing midpoint
+    ])
+    rows, values = _pointer_slice_solve(mids, measure, c)
+    _check_solution(rows, values, mids, measure, c)
+    for j, midpoint in enumerate(mids):
+        assert values[j] >= _best_ascent(midpoint, measure, c, 93 + j) - 1e-12
+    # m = 0: every pointer state scores 0 and the lowest index is taken
+    assert abs(abs(np.vdot(p[0], rows[0])) - 1.0) <= 1e-15
+    assert values[0] == 0.0
+
+
+@pytest.mark.parametrize("c", SLICE_RATES[1:])
+def test_pointer_slice_solve_breaks_exact_ties_toward_the_lowest_index(c):
+    measure = QuantumnessMeasure.pointer(np.eye(4))
+    mids = np.array([[0.5, 0.0, 0.0, 0.5], [0.0, 0.3, 0.3j, -0.3]], dtype=np.complex128)
+    rows, values = _pointer_slice_solve(mids, measure, c)
+    _check_solution(rows, values, mids, measure, c)
+    assert np.argmax(np.abs(rows[0]) ** 2) == 0
+    assert np.argmax(np.abs(rows[1]) ** 2) == 1
+    assert abs(rows[0][0]) > abs(rows[0][3])
+    for j, midpoint in enumerate(mids):
+        assert values[j] >= _best_ascent(midpoint, measure, c, 96 + j) - 1e-12
+
+
+@settings(deadline=None, derandomize=True, max_examples=25)
+@given(weight0=st.floats(0.05, 0.95), lam=st.sampled_from([1.0, 5.0, 20.0, 200.0]),
+       steps=st.integers(2, 14), seed=st.integers(0, 2**32 - 1),
+       measure_kind=st.sampled_from(["pointer", "pointer", "pointer", "entropy"]))
+def test_relaxation_is_monotone_finite_and_normalized(weight0, lam, steps, seed,
+                                                      measure_kind):
+    if seed % 2:
+        _, psi_i, basis = qubit_detector_model(weight0=weight0)
+        hamiltonian = random_hamiltonian(4, seed)
+    else:
+        hamiltonian, psi_i, basis = qubit_detector_model(weight0=weight0)
+    if measure_kind == "pointer":
+        measure = QuantumnessMeasure.pointer(basis)
+    else:
+        measure = QuantumnessMeasure.linear_entropy(2, 2)
+        steps = min(steps, 6)
+    problem = PenalizedPathProblem(psi_i, TimeGrid(0.0, 1.0, steps), hamiltonian,
+                                   PenaltyConfig(lam, measure))
+    outcome = optimize_penalized(problem, OptimizerConfig(max_iters=60, grad_tol=1e-6))
+    sweep = outcome.report.sweep_trace
+    assert all(b >= a for a, b in zip(sweep, sweep[1:]))
+    assert np.all(np.isfinite(outcome.path))
+    assert np.max(np.abs(np.linalg.norm(outcome.path, axis=1) - 1.0)) <= 1e-12
+    assert outcome.report.sweeps <= 60
+    if measure_kind == "pointer" and outcome.report.converged:
+        # a converged relaxation is a fixed point of the exact slice updates
+        path, c = outcome.path, lam * problem.grid.dt
+        mids = 0.5 * (path[:-2] + path[2:])
+        _, best = _pointer_slice_solve(mids, measure, c)
+        held = _slice_values(path[1:-1], mids, measure, c)
+        assert np.all(best - held <= 1e-9 * (1.0 + np.abs(held)))
+
+
+def test_measure_values_match_value_row_by_row():
+    rows = np.array([random_state(4, 95 + j).amplitudes for j in range(7)])
+    for measure in (QuantumnessMeasure.pointer(random_unitary(4, 94)),
+                    QuantumnessMeasure.linear_entropy(2, 2)):
+        expected = [measure.value(row) for row in rows]
+        np.testing.assert_allclose(measure.values(rows), expected, rtol=0, atol=1e-15)
 
 
 # ---------------------------------------------------------------- detector toy
