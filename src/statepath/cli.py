@@ -60,7 +60,7 @@ from .serialize import (
 __all__ = ["main", "entry"]
 
 # Caps, checked by the schema before any work starts. Each keeps the slowest
-# run at its cap, other fields at their defaults, near 10 s on a 2-core
+# run at its cap, other fields at their defaults, under 10 s on a 2-core
 # x86 VM: the eigh of a random H (dim), an unconverged collapse (max_iters,
 # steps, lambdas) or the exact chain reduction (n_list).
 _MAX_DIM = 1536
@@ -69,6 +69,13 @@ _MAX_STEPS = 64
 _MAX_LAMBDAS = 64
 _MAX_SLICES = 10**7
 _MAX_SLICE_COUNTS = 10
+# The collapse caps multiply, so the work of a collapse is capped as a whole
+# before it starts: per lambda, up to max_iters stage-one iterations and up
+# to max_iters sweeps over the steps - 1 interior slices. A unit is one slice
+# of one sweep; a stage-one iteration costs up to about 32 of them. At up
+# to 50 us a unit on a 2-core x86 VM, the cap keeps the slowest run under 10 s.
+_STAGE_ONE_SLICES = 32
+_MAX_COLLAPSE_WORK = 200_000
 
 _COMPLEX_PAIR = {
     "type": "array",
@@ -359,14 +366,28 @@ def _cmd_optimize(cfg, master) -> tuple[str, int]:
     return dumps(payload), 0 if result.converged else 3
 
 
+def _check_collapse_work(steps: int, lambdas: int, max_iters: int) -> None:
+    work = (steps + _STAGE_ONE_SLICES) * lambdas * max_iters
+    if work > _MAX_COLLAPSE_WORK:
+        raise ValueError(
+            f"config invalid: steps, lambdas and optimizer/max_iters exceed the work cap: "
+            f"(steps {steps} + {_STAGE_ONE_SLICES}) x {lambdas} lambdas x max_iters "
+            f"{max_iters} = {work} > {_MAX_COLLAPSE_WORK}"
+        )
+
+
 def _cmd_collapse(cfg, master) -> tuple[str, int]:
+    steps = int(cfg.get("steps", 4))
+    # penalized landscapes are stiff; see optimize_penalized on the tolerance
+    config = _optimizer_config(cfg.get("optimizer"), master, default_grad_tol=1e-6)
+    _check_collapse_work(steps, len(cfg["lambdas"]), config.max_iters)
     model = cfg.get("model", {})
     hamiltonian, psi_i, pointer_basis = qubit_detector_model(
         weight0=float(model.get("weight0", 0.75)),
         coupling=model.get("coupling", math.pi / 2),
         hbar=model.get("hbar", 1.0),
     )
-    grid = TimeGrid(0.0, cfg.get("t_end", 1.0), int(cfg.get("steps", 4)))
+    grid = TimeGrid(0.0, cfg.get("t_end", 1.0), steps)
     measure_spec = cfg.get("measure", {"kind": "pointer_deviation"})
     if measure_spec["kind"] == "pointer_deviation":
         measure = QuantumnessMeasure.pointer(pointer_basis)
@@ -377,8 +398,6 @@ def _cmd_collapse(cfg, master) -> tuple[str, int]:
                 f"partition {d_a} x {d_b} does not factor the model dimension {psi_i.dim}"
             )
         measure = QuantumnessMeasure.linear_entropy(d_a, d_b)
-    # penalized landscapes are stiff; see optimize_penalized on the tolerance
-    config = _optimizer_config(cfg.get("optimizer"), master, default_grad_tol=1e-6)
     lambdas = sorted(float(lam) for lam in cfg["lambdas"])
 
     rows = []

@@ -34,6 +34,7 @@ __all__ = [
 
 MAX_MC_STEPS = 6
 MIN_MC_SAMPLES = 1000
+_CHAIN_CHUNK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -224,11 +225,21 @@ def chain_reduce_exact(problem: CoherentChainProblem) -> complex:
     where a = 1 is fixed by the Gaussian weight the measure assigns to every
     interior variable, so the prefactor stays 1 and the coupling picks up
     one factor c per slice.
+
+    The factors are applied left to right, one rounded product per slice,
+    in chunks of ``_CHAIN_CHUNK`` slices by ``np.multiply.accumulate``; the
+    first entry of each chunk carries the running coupling, so the result
+    has the bits of the plain loop ``coupling *= c``.
     """
     c = 1.0 - 1j * problem.energy * problem.grid.dt / problem.hbar
     coupling = c  # coefficient of conj(z_1) z_0 before any elimination
-    for _ in range(problem.grid.steps - 1):
-        coupling *= c
+    remaining = problem.grid.steps - 1
+    while remaining > 0:
+        n = min(remaining, _CHAIN_CHUNK)
+        chunk = np.full(n + 1, c)
+        chunk[0] = coupling
+        coupling = complex(np.multiply.accumulate(chunk)[-1])
+        remaining -= n
     boundary = np.exp(-0.5 * (abs(problem.zf) ** 2 + abs(problem.z0) ** 2))
     return complex(boundary * np.exp(coupling * np.conj(problem.zf) * problem.z0))
 

@@ -56,6 +56,7 @@ __all__ = [
 _NORM_TOL = 1e-9
 _TIE_TOL = 1e-9
 _MAX_SLICE_ITERS = 64
+_MOVE_TOL = 8.0 * np.finfo(float).eps
 _SECULAR_STEPS = 16
 _SECULAR_RTOL = 4.0 * np.finfo(float).eps
 
@@ -167,6 +168,21 @@ class QuantumnessMeasure:
         m = psi.reshape(d_a, d_b)
         rho_a = m @ m.conj().T
         return (-2.0 * (rho_a @ m)).reshape(psi.shape)
+
+    def gradients_conj(self, rows: np.ndarray) -> np.ndarray:
+        """dQ / d conj(psi) of every row of an (n, dim) array of normalized
+        states; ``gradient_conj`` row by row, up to rounding, with the same
+        lowest-index choice at pointer ties."""
+        rows = np.asarray(rows, dtype=np.complex128)
+        if self.kind is MeasureKind.POINTER_DEVIATION:
+            amps = rows @ self.pointer_basis.conj()
+            best = np.argmax(np.abs(amps) ** 2, axis=1)
+            a = amps[np.arange(len(rows)), best]
+            return -a[:, None] * self.pointer_basis.T[best]
+        d_a, d_b = self.partition
+        m = rows.reshape(-1, d_a, d_b)
+        rho_a = m @ m.conj().transpose(0, 2, 1)
+        return (-2.0 * (rho_a @ m)).reshape(rows.shape)
 
 
 def q_pointer_deviation(psi: StateVector, pointer_basis) -> float:
@@ -417,34 +433,86 @@ def _pointer_slice_solve(mids: np.ndarray, measure: QuantumnessMeasure, c: float
     return y, _slice_values(y, mids, measure, c)
 
 
+def _unit_rows(vectors: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Each row of ``vectors`` normalized; a vanishing one keeps its row of ``rows``."""
+    norms = np.linalg.norm(vectors, axis=1)
+    moved = norms > 1e-300
+    safe = np.where(moved, norms, 1.0)[:, None]
+    return np.where(moved[:, None], vectors / safe, rows)
+
+
+def _power_step(rows: np.ndarray, mids: np.ndarray, measure: QuantumnessMeasure,
+                c: float) -> np.ndarray:
+    """One generalized power step y <- g / |g| on the slice objective
+    2 Re<y|m> - c Q(y), with g = m - c dQ/d conj(y) its conjugate gradient;
+    a row whose g vanishes keeps its row."""
+    return _unit_rows(mids - c * measure.gradients_conj(rows), rows)
+
+
+def _align_singular_vectors(rows: np.ndarray, mids: np.ndarray, partition) -> np.ndarray:
+    """Each row Y (as a d_A x d_B matrix) moved to U diag(s(Y)) V^dag, where
+    M = U diag(sigma) V^dag is the SVD of its midpoint; a row already there
+    up to rounding keeps its bits.
+
+    The singular values s(Y), hence Q, are unchanged, and by von Neumann's
+    trace inequality Re Tr(Y^dag M) <= sum_i s_i sigma_i, with equality for
+    the aligned Y, so the slice value does not fall. At a stationary point
+    Y and M share singular vectors, and power steps from an aligned row stay
+    aligned, g = U diag(sigma + 2 c s^3) V^dag. That removes the slow mode
+    of the power step along the product states, whose rate is
+    2c / (2c + Re<y|m>): 64 steps did not settle it at c = 12.5.
+    """
+    d_a, d_b = partition
+    u, _, vh = np.linalg.svd(mids.reshape(-1, d_a, d_b), full_matrices=False)
+    s = np.linalg.svd(rows.reshape(-1, d_a, d_b), compute_uv=False)
+    aligned = ((u * s[:, None, :]) @ vh).reshape(rows.shape)
+    near = np.max(np.abs(aligned - rows), axis=1) <= _MOVE_TOL
+    return np.where(near[:, None], rows, aligned)
+
+
+def _power_slice_solve(rows: np.ndarray, mids: np.ndarray, measure: QuantumnessMeasure,
+                       c: float):
+    """Stationary points of 2 Re<y|m> - c Q(y) over unit y, one per row of
+    ``mids``, by power steps warm-started from ``rows``; returns the rows
+    and their values.
+
+    For both measures -Q is convex on C^dim: for linear entropy
+    -Q = Tr rho_A^2 - 1 = ||Y||_S4^4 - 1 (Y the state as a d_A x d_B
+    matrix), for the pointer deviation a maximum of the convex
+    |<p_k|y>|^2 - 1. The slice objective is therefore convex and lies above
+    its linearization, so the unit y' = g / |g|, which maximizes Re<g|y'>,
+    never lowers it (Journée, Nesterov, Richtárik & Sepulchre, JMLR 11,
+    2010): no step size, no backtracking, and the fixed points are the
+    stationary points. Linear-entropy rows are first aligned with their
+    midpoint's singular vectors (``_align_singular_vectors``). A row stops
+    once a step would move it by no more than rounding, and keeps its place
+    rather than take that step; at most ``_MAX_SLICE_ITERS`` steps are taken.
+    """
+    if measure.kind is MeasureKind.LINEAR_ENTROPY:
+        rows = _align_singular_vectors(rows, mids, measure.partition)
+    done = np.zeros(len(rows), dtype=bool)
+    for _ in range(_MAX_SLICE_ITERS):
+        new = _power_step(rows, mids, measure, c)
+        done |= np.max(np.abs(new - rows), axis=1) <= _MOVE_TOL
+        if done.all():
+            break
+        rows = np.where(done[:, None], rows, new)
+    return rows, _slice_values(rows, mids, measure, c)
+
+
 def _relax_colour(rows: np.ndarray, mids: np.ndarray, measure: QuantumnessMeasure,
-                  c: float, config: OptimizerConfig) -> np.ndarray:
+                  c: float) -> np.ndarray:
     """New rows for one colour's slices, each maximizing the slice objective
-    2 Re<y|m> - c Q(y) against its neighbours' midpoint m; no slice's value
-    decreases."""
+    2 Re<y|m> - c Q(y) against its neighbours' midpoint m; a row is replaced
+    only when its slice value does not fall."""
     if c == 0.0:
-        norms = np.linalg.norm(mids, axis=1)
-        moved = norms > 1e-300
-        safe = np.where(moved, norms, 1.0)[:, None]
-        return np.where(moved[:, None], mids / safe, rows)
+        return _unit_rows(mids, rows)
     if measure.kind is MeasureKind.POINTER_DEVIATION:
         new, new_values = _pointer_slice_solve(mids, measure, c)
-        keep = new_values < _slice_values(rows, mids, measure, c)
-        return np.where(keep[:, None], rows, new)
-    out = rows.copy()
-    for j, midpoint in enumerate(mids):
-
-        def slice_value(y):
-            return float(2.0 * np.real(np.vdot(y, midpoint)) - c * measure.value(y))
-
-        def slice_grad(y):
-            return midpoint - c * measure.gradient_conj(y)
-
-        out[j] = _sphere_ascend(
-            rows[j], slice_value, slice_grad,
-            config.step_size, _MAX_SLICE_ITERS, config.grad_tol,
-        )[0]
-    return out
+    else:
+        new, new_values = _power_slice_solve(rows, mids, measure, c)
+    keep = new_values < _slice_values(rows, mids, measure, c)
+    return np.where(keep[:, None], rows, new)
 
 
 def optimize_penalized(
@@ -464,9 +532,11 @@ def optimize_penalized(
     Linear Systems*, sec. 12.4): each sweep updates every odd slice at once,
     then every even one. A slice update is the closed-form maximizer at
     lam = 0 (the neighbours' midpoint, renormalized), the exact solve of
-    ``_pointer_slice_solve`` for the pointer measure, and otherwise a short
-    projected-gradient ascent per slice. Both stages accept only
-    non-decreasing moves.
+    ``_pointer_slice_solve`` for the pointer measure, and for linear entropy
+    generalized power steps y <- g / |g| on the slice objective
+    (``_power_slice_solve``), each of which never lowers it because -Q is
+    convex there. Both stages accept only non-decreasing moves; only stage
+    one runs the projected-gradient sphere ascent, once per call.
 
     The run is deterministic: no randomness enters either stage.
     ``reporting_basis`` supplies pointer states for the report when the
@@ -534,7 +604,7 @@ def optimize_penalized(
             sweeps += 1
             for ks in colours:
                 mids = 0.5 * (states[ks - 1] + states[ks + 1])
-                states[ks] = _relax_colour(states[ks], mids, measure, lam * dt, config)
+                states[ks] = _relax_colour(states[ks], mids, measure, lam * dt)
             updated = path_value(states)
             sweep_trace.append(updated)
             if updated - current <= 1e-12 * (1.0 + abs(updated)):

@@ -8,9 +8,10 @@ Each NAME is a case of ``manifest.json``. The case is run as a fresh
 ``python -m statepath.cli`` process on this checkout's ``src/``; its stdout
 replaces ``NAME.out``. For every JSON field the script prints the largest
 absolute change against the old bytes, with the place where it occurs, so a
-recapture can be quoted and checked. A case whose exit code differs from the
-manifest, or that writes to stderr, is reported and left unwritten; the
-script then exits 1.
+recapture can be quoted and checked. A refusal case (manifest exit 2) also
+stores its one-line stderr as ``NAME.err``. A case whose exit code differs
+from the manifest, or that writes to stderr without being a refusal, is
+reported and left unwritten; the script then exits 1.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from pathlib import Path
 
 GOLDEN = Path(__file__).resolve().parent
 SRC = GOLDEN.parents[1] / "src"
+REFUSAL = 2
 
 
 def run_case(case: dict) -> subprocess.CompletedProcess:
@@ -88,7 +90,8 @@ def main(names: list[str]) -> int:
     for name in names:
         case = cases[name]
         done = run_case(case)
-        if done.returncode != case["exit"] or done.stderr:
+        refusal = case["exit"] == REFUSAL
+        if done.returncode != case["exit"] or bool(done.stderr) != refusal:
             print(f"{name}: exit {done.returncode} (manifest {case['exit']}), "
                   f"stderr {done.stderr.decode(errors='replace').strip()!r}; not written")
             failed = True
@@ -98,6 +101,12 @@ def main(names: list[str]) -> int:
         print(f"{name}: exit {done.returncode}")
         print("\n".join(field_changes(old, done.stdout)))
         out.write_bytes(done.stdout)
+        if refusal:
+            err = GOLDEN / f"{name}.err"
+            old_err = err.read_bytes() if err.exists() else b""
+            print(f"  stderr {'unchanged' if old_err == done.stderr else 'changed'}: "
+                  f"{done.stderr.decode(errors='replace').strip()}")
+            err.write_bytes(done.stderr)
     return 1 if failed else 0
 
 

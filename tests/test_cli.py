@@ -534,6 +534,34 @@ def test_caps_admit_the_benchmark_configs():
     assert _schema_errors("lattice", _with(LATTICE, ("n_list",), [10**k for k in range(2, 7)])) == []
 
 
+def test_collapse_work_cap_admits_the_cap_and_refuses_one_more():
+    per_lambda = (cli._MAX_STEPS + cli._STAGE_ONE_SLICES) * 100
+    lambdas = cli._MAX_COLLAPSE_WORK // per_lambda
+    cli._check_collapse_work(cli._MAX_STEPS, lambdas, 100)
+    with pytest.raises(ValueError, match="work cap"):
+        cli._check_collapse_work(cli._MAX_STEPS, lambdas + 1, 100)
+    # every cap alone, and the benchmark's collapse config, stay under it
+    cli._check_collapse_work(cli._MAX_STEPS, 1, cli._MAX_ITERS)
+    cli._check_collapse_work(1, cli._MAX_LAMBDAS, 40)
+    cli._check_collapse_work(16, 2, 200)
+
+
+def test_collapse_over_the_work_cap_exits_two_before_any_work(tmp_path, capsys, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("a refused collapse must not start")
+
+    monkeypatch.setattr(cli, "qubit_detector_model", no_work)
+    monkeypatch.setattr(cli, "optimize_penalized", no_work)
+    payload = {"steps": cli._MAX_STEPS, "lambdas": [1.0] * cli._MAX_LAMBDAS,
+               "optimizer": {"max_iters": cli._MAX_ITERS}}
+    assert _schema_errors("collapse", payload) == []
+    config = _write(tmp_path, "cfg.json", payload)
+    assert main(["collapse", "--config", str(config)]) == 2
+    line = _single_error_line(capsys)
+    assert line.startswith("error: config invalid: steps, lambdas and optimizer/max_iters ")
+    assert f"x {cli._MAX_LAMBDAS} lambdas x max_iters {cli._MAX_ITERS} =" in line
+
+
 def test_out_of_memory_is_one_error_line(tmp_path, capsys, monkeypatch):
     def exhausted(*args, **kwargs):
         raise MemoryError("Unable to allocate 149. GiB for an array")

@@ -4,7 +4,8 @@ stdout byte for byte, with its stored exit code.
 The stored outputs guard refactors that promise unchanged results. To add a
 case, drop ``<name>.json`` next to the others, add an entry to
 ``manifest.json`` and store the output of ``statepath <command> --config
-<name>.json [--seed N]`` as ``<name>.out`` from a known-good tree.
+<name>.json [--seed N]`` as ``<name>.out`` from a known-good tree. A refusal case
+(exit code 2) also stores its one-line stderr as ``<name>.err``.
 
 A change that is meant to move stored bytes recaptures them with
 ``python tests/golden/capture.py NAME...``: it rewrites the named ``.out``
@@ -31,5 +32,6 @@ def test_cli_output_matches_golden_bytes(case, capsysbinary):
     code = main(argv)
     captured = capsysbinary.readouterr()
     assert captured.out == (GOLDEN / f"{case['name']}.out").read_bytes()
-    assert captured.err == b""
+    err = GOLDEN / f"{case['name']}.err"
+    assert captured.err == (err.read_bytes() if err.exists() else b"")
     assert code == case["exit"]

@@ -171,6 +171,25 @@ def test_chain_coupling_follows_the_complex_power_law():
     assert abs(chain_reduce_exact(prob) - expected) <= 1e-15
 
 
+def _chain_reduce_by_loop(problem):
+    """The reference fold: one Python complex product per slice."""
+    c = 1.0 - 1j * problem.energy * problem.grid.dt / problem.hbar
+    coupling = c
+    for _ in range(problem.grid.steps - 1):
+        coupling *= c
+    boundary = np.exp(-0.5 * (abs(problem.zf) ** 2 + abs(problem.z0) ** 2))
+    return complex(boundary * np.exp(coupling * np.conj(problem.zf) * problem.z0))
+
+
+# one chunk of the vectorized fold is 2^14 slices: cover both sides of its seams
+@pytest.mark.parametrize("steps", [1, 2, 3, 16384, 16385, 32769, 10**6])
+@pytest.mark.parametrize("energy", [1.3, -0.7])
+@pytest.mark.parametrize("hbar", [1.0, 2.5])
+def test_chain_fold_has_the_bits_of_the_slice_loop(steps, energy, hbar):
+    prob = CoherentChainProblem(0.45 - 0.3j, -0.2 + 0.6j, energy, TimeGrid(0.0, 1.7, steps), hbar)
+    assert chain_reduce_exact(prob) == _chain_reduce_by_loop(prob)
+
+
 # --------------------------------------------------------- analytic_propagator
 
 def test_propagator_zero_duration_limit():

@@ -29,7 +29,13 @@ from statepath import (
     to_energy_coefficients,
 )
 from statepath.optimizer import _sphere_ascend
-from statepath.quantumness import _pointer_slice_solve, _slice_values
+from statepath import quantumness
+from statepath.quantumness import (
+    _pointer_slice_solve,
+    _power_slice_solve,
+    _power_step,
+    _slice_values,
+)
 from conftest import central_difference_gradient, relative_error
 
 E0 = np.array([1.0, 0.0], dtype=np.complex128)
@@ -524,6 +530,127 @@ def test_measure_values_match_value_row_by_row():
                     QuantumnessMeasure.linear_entropy(2, 2)):
         expected = [measure.value(row) for row in rows]
         np.testing.assert_allclose(measure.values(rows), expected, rtol=0, atol=1e-15)
+
+
+def test_measure_gradients_match_gradient_conj_row_by_row():
+    rows = np.array([random_state(4, 97 + j).amplitudes for j in range(7)])
+    # an exact pointer tie: the batched twin takes the lowest index too
+    rows = np.vstack([rows, [[0.5, 0.5j, -0.5, 0.5]]])
+    for measure in (QuantumnessMeasure.pointer(np.eye(4)),
+                    QuantumnessMeasure.pointer(random_unitary(4, 96)),
+                    QuantumnessMeasure.linear_entropy(2, 2)):
+        expected = [measure.gradient_conj(row) for row in rows]
+        np.testing.assert_allclose(measure.gradients_conj(rows), expected, rtol=0, atol=1e-15)
+
+
+# ------------------------------------------- power-step entropy slice solve
+
+ENTROPY_RATES = [1.0 / 16.0, 1.0, 12.5, 50.0]
+
+
+def _entropy_midpoints(seed, count, spread):
+    """Midpoints of ``count`` pairs of unit neighbours, and the left neighbours."""
+    rng = np.random.default_rng(seed)
+    left = np.array([random_state(4, rng.integers(2**31)).amplitudes for _ in range(count)])
+    other = np.array([random_state(4, rng.integers(2**31)).amplitudes for _ in range(count)])
+    right = (1.0 - spread) * left + spread * other
+    right /= np.linalg.norm(right, axis=1)[:, None]
+    return 0.5 * (left + right), left
+
+
+@settings(deadline=None, derandomize=True, max_examples=25)
+@given(seed=st.integers(0, 2**32 - 1), c=st.sampled_from(ENTROPY_RATES),
+       spread=st.floats(0.0, 1.0))
+def test_entropy_slice_solve_beats_multistart_ascent(seed, c, spread):
+    measure = QuantumnessMeasure.linear_entropy(2, 2)
+    mids, left = _entropy_midpoints(seed, 3, spread)
+    rows, values = _power_slice_solve(left, mids, measure, c)
+    _check_solution(rows, values, mids, measure, c)
+    for j, midpoint in enumerate(mids):
+        assert values[j] >= _best_ascent(midpoint, measure, c, seed + j) - 1e-12
+
+
+@pytest.mark.parametrize("c", ENTROPY_RATES)
+def test_power_steps_never_lower_the_slice_value(c):
+    measure = QuantumnessMeasure.linear_entropy(2, 2)
+    mids, _ = _entropy_midpoints(98, 6, 0.8)
+    rows = np.array([random_state(4, 99 + j).amplitudes for j in range(6)])
+    values = _slice_values(rows, mids, measure, c)
+    for _ in range(40):
+        rows = _power_step(rows, mids, measure, c)
+        assert np.all(np.isfinite(rows))
+        np.testing.assert_allclose(np.linalg.norm(rows, axis=1), 1.0, rtol=0, atol=1e-15)
+        stepped = _slice_values(rows, mids, measure, c)
+        assert np.all(stepped >= values - 1e-15 * (1.0 + np.abs(values)))
+        values = stepped
+
+
+@pytest.mark.parametrize("c", ENTROPY_RATES)
+def test_entropy_slice_solve_zero_midpoint_and_zero_gradient(c):
+    measure = QuantumnessMeasure.linear_entropy(2, 2)
+    product = np.array([1.0, 0.0, 0.0, 0.0], dtype=np.complex128)
+    bell = np.array([1.0, 0.0, 0.0, 1.0], dtype=np.complex128) / math.sqrt(2.0)
+    # m = -2c rho_A Y makes g vanish at y: for a product state rho_A Y = Y
+    mids = np.array([np.zeros(4), np.zeros(4), -2.0 * c * product])
+    starts = np.array([random_state(4, 100).amplitudes, bell, product])
+    assert np.array_equal(_power_step(starts[2:], mids[2:], measure, c), starts[2:])
+    rows, values = _power_slice_solve(starts, mids, measure, c)
+    _check_solution(rows, values, mids, measure, c)
+    # m = 0: the best rows are the product states, with value 0; a maximally
+    # entangled start is a stationary point (the minimum) and stays put
+    assert abs(values[0]) <= 1e-12
+    assert values[0] >= _best_ascent(mids[0], measure, c, 100) - 1e-12
+    assert np.array_equal(rows[1], bell) and abs(values[1] + 0.5 * c) <= 1e-12
+    # aligning with m = -2c y turns the zero-gradient row into -y, which scores 4c
+    assert values[2] >= _best_ascent(mids[2], measure, c, 102) - 1e-12
+    assert np.max(np.abs(rows[2] + product)) <= 1e-15
+
+
+def test_entropy_slice_solve_leaves_a_fixed_point_unmoved():
+    measure = QuantumnessMeasure.linear_entropy(2, 2)
+    mids, left = _entropy_midpoints(101, 5, 0.5)
+    rows, _ = _power_slice_solve(left, mids, measure, 1.0)
+    again, _ = _power_slice_solve(rows, mids, measure, 1.0)
+    assert np.array_equal(again, rows)
+
+
+@pytest.fixture
+def stage_calls(monkeypatch):
+    """Count ``_sphere_ascend`` runs in the collapse module, and scalar
+    ``gradient_conj`` calls made outside any of them."""
+    calls = {"ascents": 0, "inside": 0, "outside": 0}
+    real_ascend = quantumness._sphere_ascend
+    real_gradient = QuantumnessMeasure.gradient_conj
+    depth = []
+
+    def counting_ascend(*args):
+        calls["ascents"] += 1
+        depth.append(1)
+        try:
+            return real_ascend(*args)
+        finally:
+            depth.pop()
+
+    def counting_gradient(self, psi):
+        calls["inside" if depth else "outside"] += 1
+        return real_gradient(self, psi)
+
+    monkeypatch.setattr(quantumness, "_sphere_ascend", counting_ascend)
+    monkeypatch.setattr(QuantumnessMeasure, "gradient_conj", counting_gradient)
+    return calls
+
+
+def test_entropy_relaxation_runs_no_sphere_ascent_or_scalar_gradient(stage_calls):
+    hamiltonian, psi_i, basis = qubit_detector_model(weight0=0.75)
+    measure = QuantumnessMeasure.linear_entropy(2, 2)
+    lambdas = [0.0, 1.0, 50.0]
+    for lam in lambdas:
+        problem = PenalizedPathProblem(psi_i, TimeGrid(0.0, 1.0, 8), hamiltonian,
+                                       PenaltyConfig(lam, measure))
+        optimize_penalized(problem, reporting_basis=basis)
+    assert stage_calls["ascents"] == len(lambdas)
+    assert stage_calls["inside"] > 0  # stage one's ascent, seen by the counter
+    assert stage_calls["outside"] == 0
 
 
 # ---------------------------------------------------------------- detector toy
