@@ -70,11 +70,11 @@ _MAX_LAMBDAS = 64
 _MAX_SLICES = 10**7
 _MAX_SLICE_COUNTS = 10
 # The collapse caps multiply, so the work of a collapse is capped as a whole
-# before it starts: per lambda, up to max_iters stage-one iterations and up
-# to max_iters sweeps over the steps - 1 interior slices. A unit is one slice
-# of one sweep; a stage-one iteration costs up to about 32 of them. At up
-# to 50 us a unit on a 2-core x86 VM, the cap keeps the slowest run under 10 s.
-_STAGE_ONE_SLICES = 32
+# before it starts: per lambda, up to max_iters sweeps over the steps - 1
+# interior slices. A unit is one slice of one sweep; a sweep's two colour
+# solves add a fixed cost of about 32 units, whatever the steps. At up to
+# 50 us a unit on a 2-core x86 VM, the cap keeps the slowest run under 10 s.
+_SWEEP_FIXED_SLICES = 32
 _MAX_COLLAPSE_WORK = 200_000
 
 _COMPLEX_PAIR = {
@@ -243,7 +243,9 @@ _SCHEMAS = {
                     "linear_entropy": (["partition"], []),
                 }),
             },
-            "optimizer": _OPTIMIZER_SPEC,
+            # the collapse reads only the sweep cap
+            "optimizer": {"type": "object", "additionalProperties": False,
+                          "properties": {"max_iters": _OPTIMIZER_SPEC["properties"]["max_iters"]}},
             "csv_out": {"type": "string"},
         },
         "required": ["lambdas"],
@@ -301,7 +303,7 @@ def _build_state(spec, dim: int, master, slot: int, what: str,
     return evolve(hamiltonian, psi_i, t)
 
 
-def _optimizer_config(spec, master, default_grad_tol: float = 1e-7) -> OptimizerConfig:
+def _optimizer_config(spec, master) -> OptimizerConfig:
     spec = spec or {}
     if master is not None:
         seed = _derive_seed(master, _SLOT_OPTIMIZER)
@@ -310,7 +312,7 @@ def _optimizer_config(spec, master, default_grad_tol: float = 1e-7) -> Optimizer
     return OptimizerConfig(
         step_size=float(spec.get("step_size", 1.0)),
         max_iters=int(spec.get("max_iters", 200)),
-        grad_tol=float(spec.get("grad_tol", default_grad_tol)),
+        grad_tol=float(spec.get("grad_tol", 1e-7)),
         seed=seed,
     )
 
@@ -367,19 +369,19 @@ def _cmd_optimize(cfg, master) -> tuple[str, int]:
 
 
 def _check_collapse_work(steps: int, lambdas: int, max_iters: int) -> None:
-    work = (steps + _STAGE_ONE_SLICES) * lambdas * max_iters
+    work = (steps + _SWEEP_FIXED_SLICES) * lambdas * max_iters
     if work > _MAX_COLLAPSE_WORK:
         raise ValueError(
             f"config invalid: steps, lambdas and optimizer/max_iters exceed the work cap: "
-            f"(steps {steps} + {_STAGE_ONE_SLICES}) x {lambdas} lambdas x max_iters "
+            f"(steps {steps} + {_SWEEP_FIXED_SLICES}) x {lambdas} lambdas x max_iters "
             f"{max_iters} = {work} > {_MAX_COLLAPSE_WORK}"
         )
 
 
 def _cmd_collapse(cfg, master) -> tuple[str, int]:
+    del master  # no randomness enters the collapse
     steps = int(cfg.get("steps", 4))
-    # penalized landscapes are stiff; see optimize_penalized on the tolerance
-    config = _optimizer_config(cfg.get("optimizer"), master, default_grad_tol=1e-6)
+    config = OptimizerConfig(max_iters=int(cfg.get("optimizer", {}).get("max_iters", 200)))
     _check_collapse_work(steps, len(cfg["lambdas"]), config.max_iters)
     model = cfg.get("model", {})
     hamiltonian, psi_i, pointer_basis = qubit_detector_model(
@@ -650,7 +652,7 @@ def main(argv=None) -> int:
         print(f"error: config invalid at {_where(exc.absolute_path)}: {exc.message}",
               file=sys.stderr)
         return 2
-    except (ValueError, OverflowError, OSError) as exc:
+    except (ValueError, OverflowError, OSError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:

@@ -268,7 +268,12 @@ def _phases(hamiltonian: Hamiltonian, t: float) -> np.ndarray:
     t = float(t)
     if not math.isfinite(t):
         raise ValueError(f"t must be finite, got {t!r}")
-    return np.exp(-1j * hamiltonian._energies * (t / hamiltonian.hbar))
+    rate = t / hamiltonian.hbar
+    energies = hamiltonian._energies  # ascending, so the largest |E| is at an end
+    if not math.isfinite(rate * float(max(-energies[0], energies[-1]))):
+        raise ValueError(f"E * t / hbar must be finite for every energy E, got t {t!r} "
+                         f"and hbar {hamiltonian.hbar!r}")
+    return np.exp(-1j * energies * rate)
 
 
 def _check_dims(hamiltonian: Hamiltonian, *states: StateVector) -> None:

@@ -58,6 +58,9 @@ class TimeGrid:
             raise ValueError(
                 f"t_end must exceed t_start, got [{self.t_start!r}, {self.t_end!r}]"
             )
+        if not math.isfinite(float(self.t_end) - float(self.t_start)):
+            raise ValueError(f"t_end - t_start must be finite, got "
+                             f"{self.t_end!r} - {self.t_start!r}")
         if not (isinstance(self.steps, int) and self.steps >= 1):
             raise ValueError(f"steps must be an integer >= 1, got {self.steps!r}")
 
@@ -174,6 +177,11 @@ class CoherentChainProblem:
             raise ValueError(f"energy must be finite, got {self.energy!r}")
         if not (math.isfinite(float(self.hbar)) and self.hbar > 0.0):
             raise ValueError(f"hbar must be positive and finite, got {self.hbar!r}")
+        # the full-duration phase angle, in the order analytic_propagator computes it
+        duration = self.grid.duration
+        if not math.isfinite(float(self.energy) * duration / self.hbar):
+            raise ValueError(f"energy * (t_end - t_start) / hbar must be finite, got "
+                             f"{self.energy!r} * {duration!r} / {self.hbar!r}")
 
 
 @dataclass(frozen=True)

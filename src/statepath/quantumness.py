@@ -37,7 +37,7 @@ from .hilbert import (
     evolve,
 )
 from .lattice import TimeGrid
-from .optimizer import OptimizerConfig, _sphere_ascend
+from .optimizer import OptimizerConfig
 
 __all__ = [
     "MeasureKind",
@@ -311,9 +311,10 @@ class CollapseReport:
     ``pointer_ties`` lists every pointer index whose fidelity to the final
     state is within 1e-9 of the best one; more than one entry means the
     outcome is degenerate and the nearest index alone would be misleading.
-    ``endpoint_trace`` and ``sweep_trace`` are the accepted objective values
-    of the two optimization stages (final-state ascent, then interior
-    relaxation sweeps).
+    ``sweep_trace`` holds the path value before the interior relaxation and
+    after each of its sweeps, and ``converged`` is the relaxation's flag.
+    ``iterations`` is always 0: the final state is one slice solve, not an
+    iterative ascent.
     """
 
     lam: float
@@ -326,7 +327,6 @@ class CollapseReport:
     converged: bool
     iterations: int
     sweeps: int
-    endpoint_trace: tuple[float, ...]
     sweep_trace: tuple[float, ...]
 
 
@@ -522,10 +522,12 @@ def optimize_penalized(
 ) -> PenalizedOutcome:
     """Maximize the penalized log-magnitude over final state and interior path.
 
-    Stage one picks the final state: the boundary functional's exact
-    log-magnitude Re<psi_e|U psi_i> - 1, minus the endpoint's trapezoid
-    share of the penalty, is ascended on the unit sphere starting from the
-    evolved state. At lam = 0 the start is already the unique maximizer, so
+    Stage one picks the final state x: it maximizes the boundary functional's
+    exact log-magnitude Re<x|U psi_i> - 1 minus the endpoint's trapezoid
+    share of the penalty, lam * dt / 2 * Q(x). Doubled, that is the slice
+    objective 2 Re<y|m> - c Q(y) with m = U psi_i and c = lam * dt, so it is
+    one slice update (``_relax_colour``) started from the evolved state. At
+    lam = 0 the evolved state is the maximizer and is taken bit for bit, so
     the unpenalized behaviour is recovered exactly. Stage two pins both
     endpoints and relaxes the interior slices by red-black block coordinate
     ascent of the discrete path weight (Saad, *Iterative Methods for Sparse
@@ -535,20 +537,14 @@ def optimize_penalized(
     ``_pointer_slice_solve`` for the pointer measure, and for linear entropy
     generalized power steps y <- g / |g| on the slice objective
     (``_power_slice_solve``), each of which never lowers it because -Q is
-    convex there. Both stages accept only non-decreasing moves; only stage
-    one runs the projected-gradient sphere ascent, once per call.
+    convex there. Every update accepts only non-decreasing moves.
 
-    The run is deterministic: no randomness enters either stage.
-    ``reporting_basis`` supplies pointer states for the report when the
-    penalty measure itself does not carry any (e.g. linear entropy).
-
-    The default gradient tolerance is looser than the unpenalized
-    optimizer's: the penalty steepens the landscape by a factor of order
-    lam * dt, and beneath a tangent max-norm of about 1e-6 the objective
-    differences fall below double-precision resolution while the state is
-    already pinned to ~1e-8.
+    Only ``config.max_iters``, the sweep cap, is read. The run is
+    deterministic: no randomness enters either stage. ``reporting_basis``
+    supplies pointer states for the report when the penalty measure itself
+    does not carry any (e.g. linear entropy).
     """
-    config = config or OptimizerConfig(grad_tol=1e-6)
+    config = config or OptimizerConfig()
     grid = problem.grid
     lam = problem.penalty.lam
     measure = problem.penalty.measure
@@ -557,27 +553,8 @@ def optimize_penalized(
     psi_i = problem.psi_i.amplitudes
     u = evolve(problem.hamiltonian, problem.psi_i, grid.duration).amplitudes
 
-    # stage one: final state on the sphere
-    end_weight = 0.5 * lam * dt  # trapezoid share of the terminal node
-    if lam == 0.0:
-
-        def end_value(x):
-            return float(np.real(np.vdot(x, u)) - 1.0)
-
-        def end_grad(x):
-            return 0.5 * u
-
-    else:
-
-        def end_value(x):
-            return float(np.real(np.vdot(x, u)) - 1.0 - end_weight * measure.value(x))
-
-        def end_grad(x):
-            return 0.5 * u - end_weight * measure.gradient_conj(x)
-
-    x, _, endpoint_trace, _, iterations, end_converged = _sphere_ascend(
-        u.copy(), end_value, end_grad, config.step_size, config.max_iters, config.grad_tol
-    )
+    # stage one: the final state is the slice solve against m = U psi_i
+    x = _relax_colour(u[None], u[None], measure, lam * dt)[0] if lam > 0.0 else u
 
     # stage two: interior relaxation with both endpoints pinned
     states = _initial_path(psi_i, x, steps)
@@ -632,10 +609,9 @@ def optimize_penalized(
         pointer_ties=ties,
         q_trajectory=q_trajectory,
         log_magnitude=log_magnitude,
-        converged=bool(end_converged and relax_converged),
-        iterations=iterations,
+        converged=relax_converged,
+        iterations=0,
         sweeps=sweeps,
-        endpoint_trace=tuple(endpoint_trace),
         sweep_trace=tuple(sweep_trace),
     )
     states.flags.writeable = False

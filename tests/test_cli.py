@@ -535,7 +535,7 @@ def test_caps_admit_the_benchmark_configs():
 
 
 def test_collapse_work_cap_admits_the_cap_and_refuses_one_more():
-    per_lambda = (cli._MAX_STEPS + cli._STAGE_ONE_SLICES) * 100
+    per_lambda = (cli._MAX_STEPS + cli._SWEEP_FIXED_SLICES) * 100
     lambdas = cli._MAX_COLLAPSE_WORK // per_lambda
     cli._check_collapse_work(cli._MAX_STEPS, lambdas, 100)
     with pytest.raises(ValueError, match="work cap"):
@@ -560,6 +560,48 @@ def test_collapse_over_the_work_cap_exits_two_before_any_work(tmp_path, capsys, 
     line = _single_error_line(capsys)
     assert line.startswith("error: config invalid: steps, lambdas and optimizer/max_iters ")
     assert f"x {cli._MAX_LAMBDAS} lambdas x max_iters {cli._MAX_ITERS} =" in line
+
+
+@pytest.mark.parametrize("field, value", [("step_size", 0.5), ("grad_tol", 1e-6), ("seed", 3)])
+def test_collapse_optimizer_takes_only_max_iters(field, value, tmp_path, capsys):
+    config = _write(tmp_path, "cfg.json", {"lambdas": [1.0], "optimizer": {field: value}})
+    assert main(["collapse", "--config", str(config)]) == 2
+    line = _single_error_line(capsys)
+    assert line.startswith("error: config invalid at optimizer: ")
+    assert f"'{field}'" in line
+    config = _write(tmp_path, "cfg.json", {"lambdas": [1.0], "optimizer": {"max_iters": 50}})
+    assert main(["collapse", "--config", str(config)]) == 0
+    assert json.loads(capsys.readouterr().out)[0]["converged"] is True
+
+
+@pytest.mark.parametrize("depth", [2000, 10**5])
+def test_deeply_nested_config_is_one_error_line(depth, tmp_path, capsys):
+    config = tmp_path / "cfg.json"
+    config.write_text('{"t": ' + "[" * depth + "]" * depth + "}", encoding="utf-8")
+    assert main(["zeval", "--config", str(config)]) == 2
+    assert "recursion" in _single_error_line(capsys)
+
+
+# configs whose time ratio overflows a float, and the fields the refusal names
+OVERFLOWING_TIME_RATIOS = {
+    "lattice-hbar": ("lattice", _with(LATTICE, ("hbar",), 5e-324), ["energy", "hbar"]),
+    "lattice-duration": ("lattice", dict(LATTICE, t_start=-1e308, t_end=1e308),
+                         ["t_end", "t_start"]),
+    "zeval-t": ("zeval", _with(_with(RANDOM_ZEVAL, ("hamiltonian", "hbar"), 1e-10),
+                               ("t",), 1e300), ["t", "hbar"]),
+}
+
+
+@pytest.mark.parametrize(
+    "command, payload, fields", list(OVERFLOWING_TIME_RATIOS.values()),
+    ids=list(OVERFLOWING_TIME_RATIOS),
+)
+def test_overflowing_time_ratio_is_one_error_naming_the_fields(command, payload, fields,
+                                                               tmp_path, capsys):
+    config = _write(tmp_path, "cfg.json", payload)
+    assert main([command, "--config", str(config)]) == 2
+    line = _single_error_line(capsys)
+    assert all(re.search(rf"\b{field}\b", line) for field in fields)
 
 
 def test_out_of_memory_is_one_error_line(tmp_path, capsys, monkeypatch):

@@ -35,6 +35,11 @@ def test_grid_rejects_reversed_interval():
         TimeGrid(1.0, 1.0, 3)
 
 
+def test_grid_rejects_an_overflowing_duration():
+    with pytest.raises(ValueError, match="t_end - t_start must be finite"):
+        TimeGrid(-1e308, 1e308, 4)
+
+
 def test_grid_rejects_non_integer_steps():
     with pytest.raises(ValueError, match="steps"):
         TimeGrid(0.0, 1.0, 2.0)
