@@ -76,6 +76,8 @@ _MAX_SLICE_COUNTS = 10
 # 50 us a unit on a 2-core x86 VM, the cap keeps the slowest run under 10 s.
 _SWEEP_FIXED_SLICES = 32
 _MAX_COLLAPSE_WORK = 200_000
+# a schema message longer than this is clipped, so an error stays one short line
+_MAX_MESSAGE_BYTES = 300
 
 _COMPLEX_PAIR = {
     "type": "array",
@@ -272,13 +274,19 @@ def _resolve_seed(spec_seed, master, slot: int, what: str) -> int:
     return int(spec_seed)
 
 
+def _given(spec, **casts) -> dict:
+    """The fields named in ``casts`` that ``spec`` sets, each through its cast
+    (``None`` passes it as parsed); the library's defaults fill the rest."""
+    return {name: cast(spec[name]) if cast else spec[name]
+            for name, cast in casts.items() if name in spec}
+
+
 def _build_hamiltonian(spec, master) -> Hamiltonian:
-    hbar = spec.get("hbar", 1.0)
     if spec["kind"] == "random":
         seed = _resolve_seed(spec.get("seed"), master, _SLOT_HAMILTONIAN, "random hamiltonian")
-        scale = spec.get("energy_scale", 1.0)
-        return random_hamiltonian(int(spec["dim"]), seed, energy_scale=scale, hbar=hbar)
-    return Hamiltonian(parse_matrix(spec["matrix"]), hbar=hbar)
+        return random_hamiltonian(int(spec["dim"]), seed,
+                                  **_given(spec, energy_scale=None, hbar=None))
+    return Hamiltonian(parse_matrix(spec["matrix"]), **_given(spec, hbar=None))
 
 
 def _build_state(spec, dim: int, master, slot: int, what: str,
@@ -304,17 +312,11 @@ def _build_state(spec, dim: int, master, slot: int, what: str,
 
 
 def _optimizer_config(spec, master) -> OptimizerConfig:
-    spec = spec or {}
+    # the schema's "integer" admits 300.0, which OptimizerConfig refuses uncast
+    fields = _given(spec or {}, step_size=float, max_iters=int, grad_tol=float, seed=int)
     if master is not None:
-        seed = _derive_seed(master, _SLOT_OPTIMIZER)
-    else:
-        seed = int(spec.get("seed", 0))
-    return OptimizerConfig(
-        step_size=float(spec.get("step_size", 1.0)),
-        max_iters=int(spec.get("max_iters", 200)),
-        grad_tol=float(spec.get("grad_tol", 1e-7)),
-        seed=seed,
-    )
+        fields["seed"] = _derive_seed(master, _SLOT_OPTIMIZER)
+    return OptimizerConfig(**fields)
 
 
 def _cmd_zeval(cfg, master) -> tuple[str, int]:
@@ -341,13 +343,8 @@ def _cmd_lattice(cfg, master) -> tuple[str, int]:
     del master  # the convergence table is fully deterministic
     n_list = [int(n) for n in cfg["n_list"]]
     grid = TimeGrid(cfg.get("t_start", 0.0), cfg["t_end"], n_list[0])
-    problem = CoherentChainProblem(
-        parse_complex(cfg["z0"]),
-        parse_complex(cfg["zf"]),
-        cfg["energy"],
-        grid,
-        hbar=cfg.get("hbar", 1.0),
-    )
+    problem = CoherentChainProblem(parse_complex(cfg["z0"]), parse_complex(cfg["zf"]),
+                                   cfg["energy"], grid, **_given(cfg, hbar=None))
     return convergence_csv(convergence_study(problem, n_list)), 0
 
 
@@ -381,14 +378,10 @@ def _check_collapse_work(steps: int, lambdas: int, max_iters: int) -> None:
 def _cmd_collapse(cfg, master) -> tuple[str, int]:
     del master  # no randomness enters the collapse
     steps = int(cfg.get("steps", 4))
-    config = OptimizerConfig(max_iters=int(cfg.get("optimizer", {}).get("max_iters", 200)))
+    config = _optimizer_config(cfg.get("optimizer"), None)
     _check_collapse_work(steps, len(cfg["lambdas"]), config.max_iters)
-    model = cfg.get("model", {})
     hamiltonian, psi_i, pointer_basis = qubit_detector_model(
-        weight0=float(model.get("weight0", 0.75)),
-        coupling=model.get("coupling", math.pi / 2),
-        hbar=model.get("hbar", 1.0),
-    )
+        **_given(cfg.get("model", {}), weight0=float, coupling=None, hbar=None))
     grid = TimeGrid(0.0, cfg.get("t_end", 1.0), steps)
     measure_spec = cfg.get("measure", {"kind": "pointer_deviation"})
     if measure_spec["kind"] == "pointer_deviation":
@@ -579,6 +572,16 @@ def _where(path) -> str:
     return "/".join(str(part) for part in path) or "(top level)"
 
 
+def _clipped(message: str) -> str:
+    """``message`` cut around "…" to its first and last ``_MAX_MESSAGE_BYTES // 2``
+    UTF-8 bytes once longer; a schema message embeds the offending value whole."""
+    data = message.encode("utf-8", "backslashreplace")
+    if len(data) <= _MAX_MESSAGE_BYTES:
+        return message
+    half = _MAX_MESSAGE_BYTES // 2
+    return f"{data[:half].decode(errors='ignore')}…{data[-half:].decode(errors='ignore')}"
+
+
 def _oversized_integer(node, path=()):
     """Path and digit count of the first JSON integer that no float can hold."""
     if isinstance(node, dict):
@@ -649,7 +652,7 @@ def main(argv=None) -> int:
         if args.out is not None:
             args.out.write_text(text, encoding="utf-8")
     except jsonschema.ValidationError as exc:
-        print(f"error: config invalid at {_where(exc.absolute_path)}: {exc.message}",
+        print(f"error: config invalid at {_where(exc.absolute_path)}: {_clipped(exc.message)}",
               file=sys.stderr)
         return 2
     except (ValueError, OverflowError, OSError, RecursionError) as exc:

@@ -16,12 +16,11 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .hilbert import (
-    UNITARY_TOL,
     Hamiltonian,
     SpectralDecomposition,
     StateVector,
     _as_complex_matrix,
-    _unitary_drift,
+    _check_unitary,
     to_energy_coefficients,
     transition_amplitude,
 )
@@ -110,11 +109,6 @@ def z_from_mode_product(
     Independent verification route for ``z_closed_form``; the two must agree
     to 1e-10 for normalized states.
     """
-    if psi_i.dim != decomposition.dim or psi_e.dim != decomposition.dim:
-        raise ValueError(
-            f"dimension mismatch: states dims {psi_i.dim}/{psi_e.dim} vs "
-            f"decomposition dim {decomposition.dim}"
-        )
     a_i = to_energy_coefficients(psi_i, decomposition)
     a_e = to_energy_coefficients(psi_e, decomposition)
     factors = tuple(
@@ -143,9 +137,7 @@ def basis_invariance_check(
         raise ValueError(
             f"basis change must be a {hamiltonian.dim}x{hamiltonian.dim} matrix, got shape {u.shape}"
         )
-    drift = _unitary_drift(u)
-    if drift > UNITARY_TOL:
-        raise ValueError(f"basis change is not unitary: max |U^dag U - I| = {drift:.3e}")
+    _check_unitary(u, "basis change is not unitary")
     z_original = z_closed_form(psi_i, psi_e, hamiltonian, t).z
     conjugated = u @ hamiltonian.matrix @ u.conj().T
     # re-symmetrize the rounding left by the triple product

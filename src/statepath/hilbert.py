@@ -46,9 +46,12 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _unitary_drift(matrix: np.ndarray) -> float:
-    """max |M^dag M - I|."""
-    return float(np.abs(matrix.conj().T @ matrix - np.eye(matrix.shape[0])).max())
+def _check_unitary(matrix: np.ndarray, what: str) -> None:
+    """Refuse ``matrix`` unless max |M^dag M - I| <= ``UNITARY_TOL``; ``what``
+    opens the message."""
+    drift = float(np.abs(matrix.conj().T @ matrix - np.eye(matrix.shape[0])).max())
+    if drift > UNITARY_TOL:
+        raise ValueError(f"{what}: max |M^dag M - I| = {drift:.3e} exceeds {UNITARY_TOL:.0e}")
 
 
 def _as_complex_vector(values) -> np.ndarray:
@@ -138,9 +141,7 @@ class Hamiltonian:
                 f"exceeds {HERMITIAN_RTOL:.0e} * max|M| = {HERMITIAN_RTOL * scale:.3e}"
             )
         energies, vectors = np.linalg.eigh(arr)
-        drift = _unitary_drift(vectors)
-        if drift > UNITARY_TOL:
-            raise ValueError(f"eigenbasis is not unitary: max |V^dag V - I| = {drift:.3e}")
+        _check_unitary(vectors, "eigenbasis is not unitary")
         self._matrix = _freeze(arr)
         self._hbar = hbar
         self._energies = _freeze(energies)
@@ -182,11 +183,7 @@ class SpectralDecomposition:
             raise ValueError("energies contain non-finite entries")
         if np.any(np.diff(e) < 0.0):
             raise ValueError("energies must be sorted ascending")
-        drift = _unitary_drift(v)
-        if drift > UNITARY_TOL:
-            raise ValueError(
-                f"eigenvector matrix is not unitary: max |V^dag V - I| = {drift:.3e}"
-            )
+        _check_unitary(v, "eigenvector matrix is not unitary")
         self._energies = _freeze(e)
         self._eigenvectors = _freeze(v)
 
@@ -216,9 +213,7 @@ class UnitaryPropagator:
         duration = float(duration)
         if not np.isfinite(duration):
             raise ValueError(f"duration must be finite, got {duration!r}")
-        drift = _unitary_drift(arr)
-        if drift > UNITARY_TOL:
-            raise ValueError(f"matrix is not unitary: max |U^dag U - I| = {drift:.3e}")
+        _check_unitary(arr, "matrix is not unitary")
         self._matrix = _freeze(arr)
         self._duration = duration
 

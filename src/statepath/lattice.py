@@ -237,19 +237,27 @@ def chain_reduce_exact(problem: CoherentChainProblem) -> complex:
     The factors are applied left to right, one rounded product per slice,
     in chunks of ``_CHAIN_CHUNK`` slices by ``np.multiply.accumulate``; the
     first entry of each chunk carries the running coupling, so the result
-    has the bits of the plain loop ``coupling *= c``.
+    has the bits of the plain loop ``coupling *= c``. The coupling grows as
+    |c|^N, so a large E dt / hbar can overflow it even though the analytic
+    value is finite; a reduction that is not finite is refused.
     """
     c = 1.0 - 1j * problem.energy * problem.grid.dt / problem.hbar
     coupling = c  # coefficient of conj(z_1) z_0 before any elimination
     remaining = problem.grid.steps - 1
-    while remaining > 0:
-        n = min(remaining, _CHAIN_CHUNK)
-        chunk = np.full(n + 1, c)
-        chunk[0] = coupling
-        coupling = complex(np.multiply.accumulate(chunk)[-1])
-        remaining -= n
-    boundary = np.exp(-0.5 * (abs(problem.zf) ** 2 + abs(problem.z0) ** 2))
-    return complex(boundary * np.exp(coupling * np.conj(problem.zf) * problem.z0))
+    with np.errstate(all="ignore"):  # an overflow is refused below, not warned about
+        while remaining > 0:
+            n = min(remaining, _CHAIN_CHUNK)
+            chunk = np.full(n + 1, c)
+            chunk[0] = coupling
+            coupling = complex(np.multiply.accumulate(chunk)[-1])
+            remaining -= n
+        boundary = np.exp(-0.5 * (abs(problem.zf) ** 2 + abs(problem.z0) ** 2))
+        value = complex(boundary * np.exp(coupling * np.conj(problem.zf) * problem.z0))
+    if not np.isfinite([coupling, value]).all():
+        raise ValueError(f"the exact chain reduction is not finite at N = {problem.grid.steps} "
+                         f"for energy {problem.energy!r}, t_end - t_start "
+                         f"{problem.grid.duration!r} and hbar {problem.hbar!r}")
+    return value
 
 
 def analytic_propagator(problem: CoherentChainProblem) -> complex:

@@ -195,11 +195,6 @@ def maximize_final_state(
     within ``max_iters`` is reported, not raised.
     """
     config = config or OptimizerConfig()
-    if psi_i.dim != hamiltonian.matrix.shape[0]:
-        raise ValueError(
-            f"state dimension {psi_i.dim} does not match Hamiltonian "
-            f"dimension {hamiltonian.matrix.shape[0]}"
-        )
     target = evolve(hamiltonian, psi_i, t).amplitudes
 
     if initial is None:

@@ -28,14 +28,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .hilbert import (
-    UNITARY_TOL,
-    Hamiltonian,
-    StateVector,
-    _as_complex_matrix,
-    _unitary_drift,
-    evolve,
-)
+from .hilbert import Hamiltonian, StateVector, _as_complex_matrix, _check_unitary, evolve
 from .lattice import TimeGrid
 from .optimizer import OptimizerConfig
 
@@ -69,12 +62,7 @@ class MeasureKind(str, Enum):
 def _check_pointer_basis(basis) -> np.ndarray:
     """The basis as a read-only square matrix with orthonormal columns."""
     arr = _as_complex_matrix(basis)
-    gram_defect = _unitary_drift(arr)
-    if gram_defect > UNITARY_TOL:
-        raise ValueError(
-            f"pointer basis is not orthonormal: max |B^dag B - I| = "
-            f"{gram_defect:.3e} exceeds {UNITARY_TOL}"
-        )
+    _check_unitary(arr, "pointer basis is not orthonormal")
     arr.flags.writeable = False
     return arr
 
@@ -291,7 +279,12 @@ def penalized_log_magnitude(
             raise ValueError(
                 f"interior states must be normalized: max norm deviation {worst:.3e}"
             )
+    return _log_magnitude(states, hamiltonian, penalty, grid)
 
+
+def _log_magnitude(states: np.ndarray, hamiltonian: Hamiltonian, penalty: PenaltyConfig,
+                   grid: TimeGrid) -> float:
+    """``penalized_log_magnitude`` of a path already known to be valid."""
     left = states[:-1]
     diffs = states[1:] - left
     kinetic = float(np.sum(np.real(np.einsum("ij,ij->", left.conj(), diffs))))
@@ -311,8 +304,9 @@ class CollapseReport:
     ``pointer_ties`` lists every pointer index whose fidelity to the final
     state is within 1e-9 of the best one; more than one entry means the
     outcome is degenerate and the nearest index alone would be misleading.
-    ``sweep_trace`` holds the path value before the interior relaxation and
-    after each of its sweeps, and ``converged`` is the relaxation's flag.
+    ``sweep_trace`` holds the path's log-magnitude before the interior
+    relaxation and after each of its sweeps, so ``log_magnitude`` is its last
+    entry; ``converged`` is the relaxation's flag.
     ``iterations`` is always 0: the final state is one slice solve, not an
     iterative ascent.
     """
@@ -559,16 +553,7 @@ def optimize_penalized(
     # stage two: interior relaxation with both endpoints pinned
     states = _initial_path(psi_i, x, steps)
 
-    def path_value(rows) -> float:
-        # the <Phi|H|Phi> action term is real for Hermitian H, hence phase
-        # only; the magnitude objective is the kinetic part plus penalty
-        left = rows[:-1]
-        value = float(np.sum(np.real(np.einsum("ij,ij->", left.conj(), rows[1:] - left))))
-        if lam > 0.0:
-            value -= lam * _penalty_integral(rows, measure, dt)
-        return value
-
-    current = path_value(states)
+    current = _log_magnitude(states, problem.hamiltonian, problem.penalty, grid)
     sweep_trace = [current]
     sweeps = 0
     relax_converged = True
@@ -582,7 +567,7 @@ def optimize_penalized(
             for ks in colours:
                 mids = 0.5 * (states[ks - 1] + states[ks + 1])
                 states[ks] = _relax_colour(states[ks], mids, measure, lam * dt)
-            updated = path_value(states)
+            updated = _log_magnitude(states, problem.hamiltonian, problem.penalty, grid)
             sweep_trace.append(updated)
             if updated - current <= 1e-12 * (1.0 + abs(updated)):
                 relax_converged = True
@@ -591,7 +576,7 @@ def optimize_penalized(
             current = updated
 
     final_state = StateVector(x)
-    log_magnitude = penalized_log_magnitude(states, problem.hamiltonian, problem.penalty, grid)
+    log_magnitude = sweep_trace[-1]
 
     basis = measure.pointer_basis
     if basis is None and reporting_basis is not None:

@@ -3,6 +3,7 @@
 import json
 import math
 import re
+import warnings
 
 import jsonschema
 import pytest
@@ -603,6 +604,56 @@ def test_overflowing_time_ratio_is_one_error_naming_the_fields(command, payload,
     line = _single_error_line(capsys)
     assert all(re.search(rf"\b{field}\b", line) for field in fields)
 
+
+
+# lattice configs whose exact chain reduction overflows, and the first N it does at
+OVERFLOWING_CHAINS = {
+    "energy-1e300": (dict(LATTICE, energy=1e300, n_list=[10, 100]), 10),
+    "energy-1e10": (dict(LATTICE, energy=1e10, n_list=[10, 100]), 100),
+    "z0-zero": (dict(LATTICE, z0=[0.0, 0.0], energy=1e300, n_list=[10, 100]), 10),
+}
+
+
+@pytest.mark.parametrize("payload, n", list(OVERFLOWING_CHAINS.values()),
+                         ids=list(OVERFLOWING_CHAINS))
+def test_overflowing_chain_reduction_is_one_error_and_no_table(payload, n, tmp_path, capsys):
+    config = _write(tmp_path, "cfg.json", payload)
+    table = tmp_path / "table.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["lattice", "--config", str(config), "--out", str(table)]) == 2
+    line = _single_error_line(capsys)
+    assert f"at N = {n} for energy " in line
+    assert "t_end - t_start" in line and "hbar" in line
+    assert not table.exists()
+
+
+@pytest.mark.parametrize("t_text", [json.dumps([0.5] * 10**5), "[" * 900 + "]" * 900],
+                         ids=["list-of-1e5", "nested-900"])
+def test_long_schema_message_is_clipped_to_a_short_line(t_text, tmp_path, capsys):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(RANDOM_ZEVAL)[:-1] + ', "t": ' + t_text + "}",
+                      encoding="utf-8")
+    assert main(["zeval", "--config", str(config)]) == 2
+    line = _single_error_line(capsys)
+    assert len(line.encode()) < 400
+    assert line.startswith("error: config invalid at t: [") and "\u2026" in line
+    assert line.endswith("] is not of type 'number'")
+
+
+@pytest.mark.parametrize("command, payload", [
+    ("optimize", dict(RANDOM_OPTIMIZE, optimizer={"max_iters": 300})),
+    ("collapse", {"lambdas": [1.0], "optimizer": {"max_iters": 300}}),
+], ids=["optimize", "collapse"])
+def test_integral_float_max_iters_is_accepted(command, payload, tmp_path, capsys):
+    as_int = _write(tmp_path, "int.json", payload)
+    as_float = tmp_path / "float.json"
+    as_float.write_text(as_int.read_text(encoding="utf-8").replace("300", "300.0"),
+                        encoding="utf-8")
+    assert main([command, "--config", str(as_int)]) == 0
+    expected = capsys.readouterr().out
+    assert main([command, "--config", str(as_float)]) == 0
+    assert capsys.readouterr() == (expected, "")
 
 def test_out_of_memory_is_one_error_line(tmp_path, capsys, monkeypatch):
     def exhausted(*args, **kwargs):

@@ -10,9 +10,11 @@ from hypothesis import strategies as st
 from conftest import degenerate_hermitian, reference_propagator
 from statepath import (
     Hamiltonian,
+    QuantumnessMeasure,
     SpectralDecomposition,
     StateVector,
     UnitaryPropagator,
+    basis_invariance_check,
     evolve,
     propagator,
     random_hamiltonian,
@@ -22,6 +24,7 @@ from statepath import (
     to_energy_coefficients,
     transition_amplitude,
 )
+from statepath import hilbert
 
 RECON_TOL = 1e-10
 UNITARY_TOL = 1e-10
@@ -96,6 +99,45 @@ def test_hamiltonian_rejects_a_non_unitary_eigenbasis(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", stretched_eigh)
     with pytest.raises(ValueError, match="unitary"):
         Hamiltonian(np.diag([0.0, 1.0]))
+
+
+def _drifted(drift):
+    """The 2x2 identity with its first column stretched so max |M^dag M - I| = drift."""
+    matrix = np.eye(2, dtype=np.complex128)
+    matrix[0, 0] = math.sqrt(1.0 + drift)
+    return matrix
+
+
+def _eigenbasis_site(matrix, monkeypatch):
+    real_eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: (real_eigh(a)[0], matrix))
+    Hamiltonian(np.diag([0.0, 1.0]))
+
+
+def _basis_change_site(matrix, monkeypatch):
+    # the stretched column meets no amplitude, so only the unitarity check can refuse
+    e1 = StateVector([0.0, 1.0])
+    basis_invariance_check(e1, e1, Hamiltonian(np.diag([0.0, 1.0])), 1.0, matrix)
+
+
+# site: (build it from a matrix, the words that open its refusal)
+UNITARITY_SITES = {
+    "eigenbasis": (_eigenbasis_site, "eigenbasis is not unitary"),
+    "spectral": (lambda m, _: SpectralDecomposition([0.0, 1.0], m),
+                 "eigenvector matrix is not unitary"),
+    "propagator": (lambda m, _: UnitaryPropagator(m, 1.0), "matrix is not unitary"),
+    "pointer-basis": (lambda m, _: QuantumnessMeasure.pointer(m),
+                      "pointer basis is not orthonormal"),
+    "basis-change": (_basis_change_site, "basis change is not unitary"),
+}
+
+
+@pytest.mark.parametrize("site", list(UNITARITY_SITES))
+def test_unitarity_tolerance_is_one_rule_at_every_site(site, monkeypatch):
+    build, words = UNITARITY_SITES[site]
+    build(_drifted(0.99 * hilbert.UNITARY_TOL), monkeypatch)
+    with pytest.raises(ValueError, match=f"^{words}: max "):
+        build(_drifted(1.01 * hilbert.UNITARY_TOL), monkeypatch)
 
 
 # --------------------------------------------------------- spectral_decompose

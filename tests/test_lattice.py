@@ -1,6 +1,7 @@
 """Coherent-chain discretization: action, exact reduction, convergence, MC."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -193,6 +194,17 @@ def _chain_reduce_by_loop(problem):
 def test_chain_fold_has_the_bits_of_the_slice_loop(steps, energy, hbar):
     prob = CoherentChainProblem(0.45 - 0.3j, -0.2 + 0.6j, energy, TimeGrid(0.0, 1.7, steps), hbar)
     assert chain_reduce_exact(prob) == _chain_reduce_by_loop(prob)
+
+
+@pytest.mark.parametrize("z0, energy, steps", [(1.0, 1e300, 10), (1.0, 1e10, 100),
+                                               (0.0, 1e300, 10)])
+def test_chain_reduction_refuses_an_overflowing_coupling(z0, energy, steps):
+    problem = CoherentChainProblem(z0, 0.5 + 0.5j, energy, TimeGrid(0.0, 1.0, steps))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=rf"not finite at N = {steps} for energy .*"
+                                             r"t_end - t_start .* hbar"):
+            chain_reduce_exact(problem)
 
 
 # --------------------------------------------------------- analytic_propagator

@@ -213,7 +213,7 @@ def test_warm_start_at_the_answer_stops_immediately():
 
 
 def test_maximize_rejects_mismatched_dimensions():
-    with pytest.raises(ValueError, match="does not match"):
+    with pytest.raises(ValueError, match="dimension mismatch"):
         maximize_final_state(Hamiltonian(np.zeros((3, 3))), E0, 1.0)
     with pytest.raises(ValueError, match="does not match"):
         maximize_final_state(ZERO_2, E0, 1.0, initial=StateVector(np.array([1.0])))

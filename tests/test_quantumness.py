@@ -290,6 +290,22 @@ def test_problem_dimension_checks():
 
 # --------------------------------------------------------- penalized optimizer
 
+@pytest.mark.parametrize("steps", [1, 2, 4, 16])
+@pytest.mark.parametrize("lam", [0.0, 1.0, 200.0])
+@pytest.mark.parametrize("kind", ["pointer", "entropy"])
+def test_log_magnitude_is_the_last_sweep_value_of_the_returned_path(kind, lam, steps):
+    hamiltonian, psi_i, basis = qubit_detector_model()
+    measure = (QuantumnessMeasure.pointer(basis) if kind == "pointer"
+               else QuantumnessMeasure.linear_entropy(2, 2))
+    grid = TimeGrid(0.0, 1.0, steps)
+    penalty = PenaltyConfig(lam, measure)
+    outcome = optimize_penalized(PenalizedPathProblem(psi_i, grid, hamiltonian, penalty))
+    report = outcome.report
+    recomputed = penalized_log_magnitude(outcome.path, hamiltonian, penalty, grid)
+    assert report.log_magnitude == report.sweep_trace[-1] == recomputed
+    assert outcome.log_magnitude == report.log_magnitude
+
+
 def test_unpenalized_run_recovers_the_evolved_state():
     hamiltonian = random_hamiltonian(4, 70)
     psi_i = random_state(4, 71)
