@@ -330,7 +330,9 @@ def monte_carlo_estimate(
     errors with the usual confidence.
 
     Results are deterministic for a fixed (seed, samples) pair: every
-    sample comes from the one generator ``default_rng([seed, 0])``.
+    sample comes from the one generator ``default_rng([seed, 0])``. An
+    estimate or error bar that is not finite (a large E dt / hbar overflows
+    the weights) is refused.
     """
     n = problem.grid.steps
     if n > MAX_MC_STEPS:
@@ -348,22 +350,46 @@ def monte_carlo_estimate(
 
     boundary = float(np.exp(-0.5 * (abs(problem.zf) ** 2 + abs(problem.z0) ** 2)))
     c = 1.0 - 1j * problem.energy * problem.grid.dt / problem.hbar
-    if n == 1:
-        # no interior variables: the chain value is exact
-        return complex(boundary * np.exp(c * np.conj(problem.zf) * problem.z0)), 0.0
+    with np.errstate(all="ignore"):  # a non-finite estimate is refused below, not warned about
+        if n == 1:
+            # no interior variables: the chain value is exact
+            estimate, stderr = complex(boundary * np.exp(c * np.conj(problem.zf) * problem.z0)), 0.0
+        else:
+            weights = _chain_weights(problem, c, samples, seed)
+            total_abs_sq = float(np.sum(np.abs(weights) ** 2))
+            mean = complex(weights.sum()) / samples
+            variance = max(0.0, total_abs_sq - samples * abs(mean) ** 2) / (samples - 1)
+            estimate = complex(boundary * mean)
+            stderr = boundary * math.sqrt(variance / samples)
+    if not (np.isfinite(estimate) and math.isfinite(stderr)):
+        raise ValueError(f"the Monte-Carlo estimate is not finite at N = {n} for energy "
+                         f"{problem.energy!r}, t_end - t_start {problem.grid.duration!r} "
+                         f"and hbar {problem.hbar!r}")
+    return estimate, stderr
 
-    rng = np.random.default_rng([seed, 0])
-    interior = math.sqrt(0.5) * (
-        rng.standard_normal((samples, n - 1)) + 1j * rng.standard_normal((samples, n - 1))
-    )
-    chain = np.empty((samples, n + 1), dtype=np.complex128)
-    chain[:, 0] = problem.z0
-    chain[:, 1:-1] = interior
-    chain[:, -1] = problem.zf
-    weights = np.exp(c * np.sum(np.conj(chain[:, 1:]) * chain[:, :-1], axis=1))
-    total_abs_sq = float(np.sum(np.abs(weights) ** 2))
 
-    mean = complex(weights.sum()) / samples
-    variance = max(0.0, total_abs_sq - samples * abs(mean) ** 2) / (samples - 1)
-    stderr = boundary * math.sqrt(variance / samples)
-    return complex(boundary * mean), float(stderr)
+def _chain_weights(problem: CoherentChainProblem, c: complex, samples: int,
+                   seed: int) -> np.ndarray:
+    """exp(c sum_k conj(z_{k+1}) z_k) for ``samples`` draws of the interior,
+    built one column at a time with the bits of the (samples, N + 1) chain
+    form ``c * np.sum(conj(chain[:, 1:]) * chain[:, :-1], axis=1)``: the same
+    draw order and products, added in the order numpy's pairwise sum takes
+    below eight complex terms (left to right below four, else
+    (t0 + t1) + (t2 + t3), then the rest).
+    """
+    n = problem.grid.steps
+    draws = np.random.default_rng([seed, 0]).standard_normal((2, samples, n - 1))
+    draws *= math.sqrt(0.5)
+    z = np.empty((samples, n - 1), dtype=np.complex128)
+    z.real = draws[0]
+    z.imag = draws[1]
+    terms = [np.conj(z[:, 0]) * problem.z0]
+    terms += [np.conj(z[:, k]) * z[:, k - 1] for k in range(1, n - 1)]
+    terms.append(np.conj(problem.zf) * z[:, -1])
+    # c multiplies an unnamed temporary, as in c * np.sum(...): from 256 KiB up numpy
+    # reuses it in place with the operands swapped, and that order rounds differently
+    if n < 4:
+        weights = c * sum(terms[2:], terms[0] + terms[1])
+    else:
+        weights = c * sum(terms[4:], (terms[0] + terms[1]) + (terms[2] + terms[3]))
+    return np.exp(weights, out=weights)

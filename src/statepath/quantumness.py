@@ -435,62 +435,50 @@ def _unit_rows(vectors: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return np.where(moved[:, None], vectors / safe, rows)
 
 
-def _power_step(rows: np.ndarray, mids: np.ndarray, measure: QuantumnessMeasure,
-                c: float) -> np.ndarray:
-    """One generalized power step y <- g / |g| on the slice objective
-    2 Re<y|m> - c Q(y), with g = m - c dQ/d conj(y) its conjugate gradient;
-    a row whose g vanishes keeps its row."""
-    return _unit_rows(mids - c * measure.gradients_conj(rows), rows)
-
-
-def _align_singular_vectors(rows: np.ndarray, mids: np.ndarray, partition) -> np.ndarray:
-    """Each row Y (as a d_A x d_B matrix) moved to U diag(s(Y)) V^dag, where
-    M = U diag(sigma) V^dag is the SVD of its midpoint; a row already there
-    up to rounding keeps its bits.
-
-    The singular values s(Y), hence Q, are unchanged, and by von Neumann's
-    trace inequality Re Tr(Y^dag M) <= sum_i s_i sigma_i, with equality for
-    the aligned Y, so the slice value does not fall. At a stationary point
-    Y and M share singular vectors, and power steps from an aligned row stay
-    aligned, g = U diag(sigma + 2 c s^3) V^dag. That removes the slow mode
-    of the power step along the product states, whose rate is
-    2c / (2c + Re<y|m>): 64 steps did not settle it at c = 12.5.
-    """
-    d_a, d_b = partition
-    u, _, vh = np.linalg.svd(mids.reshape(-1, d_a, d_b), full_matrices=False)
-    s = np.linalg.svd(rows.reshape(-1, d_a, d_b), compute_uv=False)
-    aligned = ((u * s[:, None, :]) @ vh).reshape(rows.shape)
-    near = np.max(np.abs(aligned - rows), axis=1) <= _MOVE_TOL
-    return np.where(near[:, None], rows, aligned)
+def _singular_value_step(s: np.ndarray, sigma: np.ndarray, c: float) -> np.ndarray:
+    """One power step s <- g / |g|, g = sigma + 2 c s^3, on the singular values
+    of each row; a row whose g vanishes keeps its values."""
+    return _unit_rows(sigma + 2.0 * c * s**3, s)
 
 
 def _power_slice_solve(rows: np.ndarray, mids: np.ndarray, measure: QuantumnessMeasure,
                        c: float):
-    """Stationary points of 2 Re<y|m> - c Q(y) over unit y, one per row of
-    ``mids``, by power steps warm-started from ``rows``; returns the rows
-    and their values.
+    """Stationary points of 2 Re<y|m> - c Q(y) over unit y, Q the linear
+    entropy, one per row of ``mids``, by power steps warm-started from
+    ``rows``; returns the rows and their values.
 
-    For both measures -Q is convex on C^dim: for linear entropy
-    -Q = Tr rho_A^2 - 1 = ||Y||_S4^4 - 1 (Y the state as a d_A x d_B
-    matrix), for the pointer deviation a maximum of the convex
-    |<p_k|y>|^2 - 1. The slice objective is therefore convex and lies above
-    its linearization, so the unit y' = g / |g|, which maximizes Re<g|y'>,
-    never lowers it (Journée, Nesterov, Richtárik & Sepulchre, JMLR 11,
-    2010): no step size, no backtracking, and the fixed points are the
-    stationary points. Linear-entropy rows are first aligned with their
-    midpoint's singular vectors (``_align_singular_vectors``). A row stops
-    once a step would move it by no more than rounding, and keeps its place
-    rather than take that step; at most ``_MAX_SLICE_ITERS`` steps are taken.
+    As a d_A x d_B matrix Y, -Q = Tr rho_A^2 - 1 = ||Y||_S4^4 - 1 is convex,
+    so the slice objective lies above its linearization and the unit
+    y' = g / |g|, g = m - c dQ/d conj(y), which maximizes Re<g|y'>, never
+    lowers it (Journée, Nesterov, Richtárik & Sepulchre, JMLR 11, 2010): no
+    step size, no backtracking, and the fixed points are the stationary
+    points. Each row starts as U diag(s(Y)) V^dag, with M = U diag(sigma)
+    V^dag the SVD of its midpoint: Q is unchanged, and by von Neumann's trace
+    inequality Re Tr(Y^dag M) <= sum_i s_i sigma_i, with equality there, so
+    the slice value does not fall. Steps from there keep these singular
+    vectors, g = U diag(sigma + 2 c s^3) V^dag, so they run on the singular
+    values (``_singular_value_step``) and the row is built once at the end.
+    The alignment removes the complex step's slow mode along the product
+    states, whose rate is 2c / (2c + Re<y|m>): 64 steps did not settle it at
+    c = 12.5. A row stops once a step would move its values by no more than
+    rounding, and keeps them rather than take that step; at most
+    ``_MAX_SLICE_ITERS`` steps are taken. A built row is renormalized, and one
+    within rounding of its start keeps its bits.
     """
-    if measure.kind is MeasureKind.LINEAR_ENTROPY:
-        rows = _align_singular_vectors(rows, mids, measure.partition)
+    d_a, d_b = measure.partition
+    u, sigma, vh = np.linalg.svd(mids.reshape(-1, d_a, d_b), full_matrices=False)
+    s = np.linalg.svd(rows.reshape(-1, d_a, d_b), compute_uv=False)
     done = np.zeros(len(rows), dtype=bool)
     for _ in range(_MAX_SLICE_ITERS):
-        new = _power_step(rows, mids, measure, c)
-        done |= np.max(np.abs(new - rows), axis=1) <= _MOVE_TOL
+        new = _singular_value_step(s, sigma, c)
+        done |= np.max(np.abs(new - s), axis=1) <= _MOVE_TOL
         if done.all():
             break
-        rows = np.where(done[:, None], rows, new)
+        s = np.where(done[:, None], s, new)
+    built = ((u * s[:, None, :]) @ vh).reshape(rows.shape)
+    built /= np.linalg.norm(built, axis=1)[:, None]
+    near = np.max(np.abs(built - rows), axis=1) <= _MOVE_TOL
+    rows = np.where(near[:, None], rows, built)
     return rows, _slice_values(rows, mids, measure, c)
 
 
@@ -529,9 +517,10 @@ def optimize_penalized(
     then every even one. A slice update is the closed-form maximizer at
     lam = 0 (the neighbours' midpoint, renormalized), the exact solve of
     ``_pointer_slice_solve`` for the pointer measure, and for linear entropy
-    generalized power steps y <- g / |g| on the slice objective
-    (``_power_slice_solve``), each of which never lowers it because -Q is
-    convex there. Every update accepts only non-decreasing moves.
+    generalized power steps y <- g / |g| on the slice objective, taken on
+    the singular values (``_power_slice_solve``), each of which never lowers
+    it because -Q is convex there. Every update accepts only non-decreasing
+    moves.
 
     Only ``config.max_iters``, the sweep cap, is read. The run is
     deterministic: no randomness enters either stage. ``reporting_basis``

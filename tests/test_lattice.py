@@ -332,6 +332,58 @@ def test_mc_pins_its_sample_stream():
         assert monte_carlo_estimate(prob, samples, seed) == (estimate, stderr)
 
 
+def _mc_by_chain_array(problem, samples, seed):
+    """Reference estimator: the whole (samples, N + 1) chain in one array,
+    its exponent summed along the chain axis."""
+    n = problem.grid.steps
+    boundary = float(np.exp(-0.5 * (abs(problem.zf) ** 2 + abs(problem.z0) ** 2)))
+    c = 1.0 - 1j * problem.energy * problem.grid.dt / problem.hbar
+    rng = np.random.default_rng([seed, 0])
+    interior = math.sqrt(0.5) * (
+        rng.standard_normal((samples, n - 1)) + 1j * rng.standard_normal((samples, n - 1))
+    )
+    chain = np.empty((samples, n + 1), dtype=np.complex128)
+    chain[:, 0] = problem.z0
+    chain[:, 1:-1] = interior
+    chain[:, -1] = problem.zf
+    weights = np.exp(c * np.sum(np.conj(chain[:, 1:]) * chain[:, :-1], axis=1))
+    total_abs_sq = float(np.sum(np.abs(weights) ** 2))
+    mean = complex(weights.sum()) / samples
+    variance = max(0.0, total_abs_sq - samples * abs(mean) ** 2) / (samples - 1)
+    stderr = boundary * math.sqrt(variance / samples)
+    return complex(boundary * mean), float(stderr)
+
+
+# 16384 samples make a 256 KiB exponent, where numpy starts to reuse temporaries
+@pytest.mark.parametrize("steps", range(2, MAX_MC_STEPS + 1))
+@pytest.mark.parametrize("samples", [1000, 1001, 4099, 16384])
+def test_mc_has_the_bits_of_the_chain_array(steps, samples):
+    for seed, (z0, zf, energy, hbar) in zip([0, 17, 2**31 - 1], [
+        (0.3, 0.4 + 0.5j, 0.0, 1.0),
+        (0.5 + 0.3j, -0.2 + 0.6j, 1.3, 1.0),
+        (-0.1 - 0.9j, 0.7j, -2.5, 0.6),
+    ]):
+        prob = CoherentChainProblem(z0, zf, energy, TimeGrid(0.2, 1.5, steps), hbar)
+        assert monte_carlo_estimate(prob, samples, seed) == _mc_by_chain_array(prob, samples, seed)
+
+
+@pytest.mark.parametrize("energy, steps", [(1e300, 3), (1e150, 2)])
+def test_mc_refuses_a_non_finite_estimate(energy, steps):
+    problem = CoherentChainProblem(1.0, 0.5 + 0.5j, energy, TimeGrid(0.0, 1.0, steps))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=rf"not finite at N = {steps} for energy .*"
+                                             r"t_end - t_start .* hbar"):
+            monte_carlo_estimate(problem, 1000, 1)
+
+
+def test_mc_single_slice_stays_exact_at_a_huge_energy():
+    problem = CoherentChainProblem(1.0, 0.5 + 0.5j, 1e300, TimeGrid(0.0, 1.0, 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert monte_carlo_estimate(problem, 1000, 1) == (chain_reduce_exact(problem), 0.0)
+
+
 def test_mc_thirty_seed_mean_is_unbiased():
     prob = CoherentChainProblem(0.5 + 0.3j, -0.2 + 0.6j, 1.0, TimeGrid(0.0, 1.0, 3))
     exact = chain_reduce_exact(prob)

@@ -33,8 +33,9 @@ from statepath import optimizer, quantumness
 from statepath.quantumness import (
     _pointer_slice_solve,
     _power_slice_solve,
-    _power_step,
+    _singular_value_step,
     _slice_values,
+    _unit_rows,
 )
 from conftest import central_difference_gradient, relative_error
 
@@ -562,14 +563,46 @@ def test_measure_gradients_match_gradient_conj_row_by_row():
 ENTROPY_RATES = [1.0 / 16.0, 1.0, 12.5, 50.0]
 
 
-def _entropy_midpoints(seed, count, spread):
+def _entropy_midpoints(seed, count, spread, dim=4):
     """Midpoints of ``count`` pairs of unit neighbours, and the left neighbours."""
     rng = np.random.default_rng(seed)
-    left = np.array([random_state(4, rng.integers(2**31)).amplitudes for _ in range(count)])
-    other = np.array([random_state(4, rng.integers(2**31)).amplitudes for _ in range(count)])
+    left = np.array([random_state(dim, rng.integers(2**31)).amplitudes for _ in range(count)])
+    other = np.array([random_state(dim, rng.integers(2**31)).amplitudes for _ in range(count)])
     right = (1.0 - spread) * left + spread * other
     right /= np.linalg.norm(right, axis=1)[:, None]
     return 0.5 * (left + right), left
+
+
+def _complex_power_slice_solve(rows, mids, measure, c):
+    """Reference: each row moved onto its midpoint's singular vectors (kept
+    bit for bit when already there), then complex power steps y <- g / |g|,
+    g = m - c dQ/d conj(y), with the same stop rule and cap."""
+    d_a, d_b = measure.partition
+    u, _, vh = np.linalg.svd(mids.reshape(-1, d_a, d_b), full_matrices=False)
+    s = np.linalg.svd(rows.reshape(-1, d_a, d_b), compute_uv=False)
+    aligned = ((u * s[:, None, :]) @ vh).reshape(rows.shape)
+    near = np.max(np.abs(aligned - rows), axis=1) <= quantumness._MOVE_TOL
+    rows = np.where(near[:, None], rows, aligned)
+    done = np.zeros(len(rows), dtype=bool)
+    for _ in range(quantumness._MAX_SLICE_ITERS):
+        new = _unit_rows(mids - c * measure.gradients_conj(rows), rows)
+        done |= np.max(np.abs(new - rows), axis=1) <= quantumness._MOVE_TOL
+        if done.all():
+            break
+        rows = np.where(done[:, None], rows, new)
+    return rows, _slice_values(rows, mids, measure, c)
+
+
+@pytest.mark.parametrize("c", ENTROPY_RATES)
+@pytest.mark.parametrize("partition", [(2, 2), (2, 3), (3, 2), (1, 4)])
+def test_entropy_slice_solve_matches_complex_power_steps(partition, c):
+    measure = QuantumnessMeasure.linear_entropy(*partition)
+    for seed, spread in [(103, 0.0), (104, 0.3), (105, 1.0)]:
+        mids, left = _entropy_midpoints(seed, 6, spread, measure.dim)
+        rows, values = _power_slice_solve(left, mids, measure, c)
+        expected_rows, expected_values = _complex_power_slice_solve(left, mids, measure, c)
+        assert np.max(np.abs(rows - expected_rows)) <= 1e-13
+        assert np.max(np.abs(values - expected_values)) <= 1e-13
 
 
 @settings(deadline=None, derandomize=True, max_examples=25)
@@ -584,17 +617,25 @@ def test_entropy_slice_solve_beats_multistart_ascent(seed, c, spread):
         assert values[j] >= _best_ascent(midpoint, measure, c, seed + j) - 1e-12
 
 
+def _reduced_slice_values(s, sigma, c):
+    """The slice objective of U diag(s) V^dag against U diag(sigma) V^dag for
+    a 2 x 2 partition: 2 sigma.s - c Q, with Q = 1 - s_0^4 - s_1^4 written as
+    2 s_0^2 s_1^2, which keeps its relative accuracy near a product state."""
+    return 2.0 * np.sum(sigma * s, axis=1) - c * 2.0 * (s[:, 0] * s[:, 1]) ** 2
+
+
 @pytest.mark.parametrize("c", ENTROPY_RATES)
 def test_power_steps_never_lower_the_slice_value(c):
-    measure = QuantumnessMeasure.linear_entropy(2, 2)
     mids, _ = _entropy_midpoints(98, 6, 0.8)
     rows = np.array([random_state(4, 99 + j).amplitudes for j in range(6)])
-    values = _slice_values(rows, mids, measure, c)
+    sigma = np.linalg.svd(mids.reshape(-1, 2, 2), compute_uv=False)
+    s = np.linalg.svd(rows.reshape(-1, 2, 2), compute_uv=False)
+    values = _reduced_slice_values(s, sigma, c)
     for _ in range(40):
-        rows = _power_step(rows, mids, measure, c)
-        assert np.all(np.isfinite(rows))
-        np.testing.assert_allclose(np.linalg.norm(rows, axis=1), 1.0, rtol=0, atol=1e-15)
-        stepped = _slice_values(rows, mids, measure, c)
+        s = _singular_value_step(s, sigma, c)
+        assert np.all(np.isfinite(s))
+        np.testing.assert_allclose(np.linalg.norm(s, axis=1), 1.0, rtol=0, atol=1e-15)
+        stepped = _reduced_slice_values(s, sigma, c)
         assert np.all(stepped >= values - 1e-15 * (1.0 + np.abs(values)))
         values = stepped
 
@@ -604,10 +645,11 @@ def test_entropy_slice_solve_zero_midpoint_and_zero_gradient(c):
     measure = QuantumnessMeasure.linear_entropy(2, 2)
     product = np.array([1.0, 0.0, 0.0, 0.0], dtype=np.complex128)
     bell = np.array([1.0, 0.0, 0.0, 1.0], dtype=np.complex128) / math.sqrt(2.0)
-    # m = -2c rho_A Y makes g vanish at y: for a product state rho_A Y = Y
+    # sigma = -2c s^3 makes g vanish at s: a product state has s = (1, 0)
+    s = np.array([[1.0, 0.0]])
+    assert np.array_equal(_singular_value_step(s, -2.0 * c * s**3, c), s)
     mids = np.array([np.zeros(4), np.zeros(4), -2.0 * c * product])
     starts = np.array([random_state(4, 100).amplitudes, bell, product])
-    assert np.array_equal(_power_step(starts[2:], mids[2:], measure, c), starts[2:])
     rows, values = _power_slice_solve(starts, mids, measure, c)
     _check_solution(rows, values, mids, measure, c)
     # m = 0: the best rows are the product states, with value 0; a maximally
