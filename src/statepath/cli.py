@@ -553,18 +553,12 @@ def _selftest_collapse() -> int:
     )
 
 
-_HANDLERS = {
-    "zeval": _cmd_zeval,
-    "lattice": _cmd_lattice,
-    "optimize": _cmd_optimize,
-    "collapse": _cmd_collapse,
-}
-
-_SELFTESTS = {
-    "zeval": _selftest_zeval,
-    "lattice": _selftest_lattice,
-    "optimize": _selftest_optimize,
-    "collapse": _selftest_collapse,
+# every subcommand: (its --help line, its handler, its built-in examples)
+_COMMANDS = {
+    "zeval": ("closed-form functional value for a state pair", _cmd_zeval, _selftest_zeval),
+    "lattice": ("coherent-chain convergence table (CSV)", _cmd_lattice, _selftest_lattice),
+    "optimize": ("maximize the functional magnitude over final states", _cmd_optimize, _selftest_optimize),
+    "collapse": ("penalized collapse demo across a lambda sweep", _cmd_collapse, _selftest_collapse),
 }
 
 
@@ -615,13 +609,7 @@ def main(argv=None) -> int:
         description="Evaluate, discretize, and maximize Hilbert-space path functionals.",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
-    descriptions = {
-        "zeval": "closed-form functional value for a state pair",
-        "lattice": "coherent-chain convergence table (CSV)",
-        "optimize": "maximize the functional magnitude over final states",
-        "collapse": "penalized collapse demo across a lambda sweep",
-    }
-    for name, help_text in descriptions.items():
+    for name, (help_text, _, _) in _COMMANDS.items():
         sub = subparsers.add_parser(name, help=help_text)
         sub.add_argument("--config", type=Path, help="path to the JSON config")
         sub.add_argument("--seed", type=_seed_value,
@@ -631,9 +619,10 @@ def main(argv=None) -> int:
                          help="run the built-in examples and exit nonzero on failure")
     args = parser.parse_args(argv)
 
+    _, handler, selftest = _COMMANDS[args.command]
     if args.selftest:
         print(f"selftest: {args.command}")
-        return _SELFTESTS[args.command]()
+        return selftest()
 
     if args.config is None:
         print("error: --config is required unless --selftest is given", file=sys.stderr)
@@ -648,7 +637,7 @@ def main(argv=None) -> int:
             path, digits = oversized
             raise ValueError(f"config invalid at {_where(path)}: an integer of {digits} "
                              f"digits does not fit a float")
-        text, code = _HANDLERS[args.command](cfg, args.seed)
+        text, code = handler(cfg, args.seed)
         if args.out is not None:
             args.out.write_text(text, encoding="utf-8")
     except jsonschema.ValidationError as exc:

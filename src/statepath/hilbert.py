@@ -15,6 +15,7 @@ eigensystem.
 from __future__ import annotations
 
 import math
+from numbers import Integral
 
 import numpy as np
 
@@ -52,6 +53,13 @@ def _check_unitary(matrix: np.ndarray, what: str) -> None:
     drift = float(np.abs(matrix.conj().T @ matrix - np.eye(matrix.shape[0])).max())
     if drift > UNITARY_TOL:
         raise ValueError(f"{what}: max |M^dag M - I| = {drift:.3e} exceeds {UNITARY_TOL:.0e}")
+
+
+def _positive_int(value, name: str) -> int:
+    """``value`` as a plain int, if it is an integer >= 1 (numpy ints count, bools do not)."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    return int(value)
 
 
 def _as_complex_vector(values) -> np.ndarray:

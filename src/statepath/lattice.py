@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .hilbert import _positive_int
+
 __all__ = [
     "TimeGrid",
     "PathLattice",
@@ -61,8 +63,7 @@ class TimeGrid:
         if not math.isfinite(float(self.t_end) - float(self.t_start)):
             raise ValueError(f"t_end - t_start must be finite, got "
                              f"{self.t_end!r} - {self.t_start!r}")
-        if not (isinstance(self.steps, int) and self.steps >= 1):
-            raise ValueError(f"steps must be an integer >= 1, got {self.steps!r}")
+        object.__setattr__(self, "steps", _positive_int(self.steps, "steps"))
 
     @property
     def duration(self) -> float:
@@ -134,12 +135,6 @@ class PathLattice:
             [start[:, None], interior_arr.reshape(modes, n - 1), end[:, None]], axis=1
         )
         return cls(grid, coeffs)
-
-    def replace_interior(self, interior) -> "PathLattice":
-        """New lattice with the same pinned endpoints and fresh interior columns."""
-        return PathLattice.pinned(
-            self._grid, self._coefficients[:, 0], self._coefficients[:, -1], interior
-        )
 
     @property
     def grid(self) -> TimeGrid:

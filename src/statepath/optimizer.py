@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .functional import ABS_Z_LOWER
-from .hilbert import Hamiltonian, StateVector, evolve
+from .hilbert import Hamiltonian, StateVector, _positive_int, evolve
 
 __all__ = [
     "OptimizerConfig",
@@ -49,8 +49,7 @@ class OptimizerConfig:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.step_size) and self.step_size > 0.0):
             raise ValueError(f"step_size must be positive and finite, got {self.step_size!r}")
-        if not (isinstance(self.max_iters, int) and self.max_iters >= 1):
-            raise ValueError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
+        object.__setattr__(self, "max_iters", _positive_int(self.max_iters, "max_iters"))
         if not (math.isfinite(self.grad_tol) and self.grad_tol > 0.0):
             raise ValueError(f"grad_tol must be positive and finite, got {self.grad_tol!r}")
 

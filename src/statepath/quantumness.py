@@ -74,7 +74,9 @@ class QuantumnessMeasure:
     ``pointer_deviation`` needs ``pointer_basis`` (columns are the pointer
     states); ``linear_entropy`` needs ``partition`` = (d_A, d_B). Q vanishes
     exactly on the measure's classical set — pointer basis states, or
-    product states across the partition.
+    product states across the partition. Each measure has one formula, in
+    the batch methods ``values`` and ``gradients_conj``; the single-row
+    ``value`` and ``gradient_conj`` are those applied to one row.
     """
 
     kind: MeasureKind
@@ -116,20 +118,11 @@ class QuantumnessMeasure:
         return d_a * d_b
 
     def value(self, psi: np.ndarray) -> float:
-        """Q(psi) for a normalized amplitude vector."""
-        psi = np.asarray(psi, dtype=np.complex128)
-        if self.kind is MeasureKind.POINTER_DEVIATION:
-            fidelities = np.abs(self.pointer_basis.conj().T @ psi) ** 2
-            return float(max(0.0, 1.0 - float(np.max(fidelities))))
-        d_a, d_b = self.partition
-        m = psi.reshape(d_a, d_b)
-        rho_a = m @ m.conj().T
-        purity = float(np.real(np.trace(rho_a @ rho_a)))
-        return float(max(0.0, 1.0 - purity))
+        """Q(psi) for a normalized amplitude vector: ``values`` of one row."""
+        return float(self.values(np.reshape(psi, (1, -1)))[0])
 
     def values(self, rows: np.ndarray) -> np.ndarray:
-        """Q of every row of an (n, dim) array of normalized states; ``value``
-        row by row, up to rounding."""
+        """Q of every row of an (n, dim) array of normalized states."""
         rows = np.asarray(rows, dtype=np.complex128)
         if self.kind is MeasureKind.POINTER_DEVIATION:
             fidelities = np.abs(rows @ self.pointer_basis.conj()) ** 2
@@ -141,26 +134,15 @@ class QuantumnessMeasure:
         return np.maximum(0.0, 1.0 - purity)
 
     def gradient_conj(self, psi: np.ndarray) -> np.ndarray:
-        """dQ / d conj(psi), the Wirtinger gradient matching ``value``.
-
-        For pointer deviation the active pointer is the argmax; at exact
-        fidelity ties the lowest index is used, a deterministic subgradient
-        choice on the measure's kink set.
-        """
-        psi = np.asarray(psi, dtype=np.complex128)
-        if self.kind is MeasureKind.POINTER_DEVIATION:
-            amps = self.pointer_basis.conj().T @ psi
-            m = int(np.argmax(np.abs(amps) ** 2))
-            return -amps[m] * self.pointer_basis[:, m]
-        d_a, d_b = self.partition
-        m = psi.reshape(d_a, d_b)
-        rho_a = m @ m.conj().T
-        return (-2.0 * (rho_a @ m)).reshape(psi.shape)
+        """dQ / d conj(psi), the Wirtinger gradient matching ``value``: ``gradients_conj``
+        of one row, with its lowest-index choice at pointer ties."""
+        return self.gradients_conj(np.reshape(psi, (1, -1)))[0].reshape(np.shape(psi))
 
     def gradients_conj(self, rows: np.ndarray) -> np.ndarray:
         """dQ / d conj(psi) of every row of an (n, dim) array of normalized
-        states; ``gradient_conj`` row by row, up to rounding, with the same
-        lowest-index choice at pointer ties."""
+        states. For pointer deviation the active pointer is the argmax; at
+        exact fidelity ties the lowest index is used, a deterministic
+        subgradient choice on the measure's kink set."""
         rows = np.asarray(rows, dtype=np.complex128)
         if self.kind is MeasureKind.POINTER_DEVIATION:
             amps = rows @ self.pointer_basis.conj()
@@ -306,7 +288,8 @@ class CollapseReport:
     outcome is degenerate and the nearest index alone would be misleading.
     ``sweep_trace`` holds the path's log-magnitude before the interior
     relaxation and after each of its sweeps, so ``log_magnitude`` is its last
-    entry; ``converged`` is the relaxation's flag.
+    entry and ``sweeps`` is ``len(sweep_trace) - 1``; ``converged`` is the
+    relaxation's flag.
     ``iterations`` is always 0: the final state is one slice solve, not an
     iterative ascent.
     """
@@ -542,27 +525,20 @@ def optimize_penalized(
     # stage two: interior relaxation with both endpoints pinned
     states = _initial_path(psi_i, x, steps)
 
-    current = _log_magnitude(states, problem.hamiltonian, problem.penalty, grid)
-    sweep_trace = [current]
-    sweeps = 0
-    relax_converged = True
+    sweep_trace = [_log_magnitude(states, problem.hamiltonian, problem.penalty, grid)]
+    relax_converged = steps < 2
     if steps >= 2:
-        relax_converged = False
         # red-black ordering: a slice sees only its two neighbours, so each
         # colour is a set of independent slice problems
         colours = [ks for ks in (np.arange(1, steps, 2), np.arange(2, steps, 2)) if ks.size]
         for _ in range(config.max_iters):
-            sweeps += 1
             for ks in colours:
                 mids = 0.5 * (states[ks - 1] + states[ks + 1])
                 states[ks] = _relax_colour(states[ks], mids, measure, lam * dt)
-            updated = _log_magnitude(states, problem.hamiltonian, problem.penalty, grid)
-            sweep_trace.append(updated)
-            if updated - current <= 1e-12 * (1.0 + abs(updated)):
+            sweep_trace.append(_log_magnitude(states, problem.hamiltonian, problem.penalty, grid))
+            if sweep_trace[-1] - sweep_trace[-2] <= 1e-12 * (1.0 + abs(sweep_trace[-1])):
                 relax_converged = True
-                current = max(current, updated)
                 break
-            current = updated
 
     final_state = StateVector(x)
     log_magnitude = sweep_trace[-1]
@@ -585,7 +561,7 @@ def optimize_penalized(
         log_magnitude=log_magnitude,
         converged=relax_converged,
         iterations=0,
-        sweeps=sweeps,
+        sweeps=len(sweep_trace) - 1,
         sweep_trace=tuple(sweep_trace),
     )
     states.flags.writeable = False

@@ -16,7 +16,6 @@ import numpy as np
 __all__ = [
     "complex_pair",
     "vector_pairs",
-    "matrix_pairs",
     "parse_complex",
     "parse_vector",
     "parse_matrix",
@@ -32,13 +31,6 @@ def complex_pair(z: complex) -> list[float]:
 
 def vector_pairs(vec) -> list[list[float]]:
     return [complex_pair(z) for z in np.asarray(vec).ravel()]
-
-
-def matrix_pairs(mat) -> list[list[list[float]]]:
-    arr = np.asarray(mat)
-    if arr.ndim != 2:
-        raise ValueError(f"expected a matrix, got shape {arr.shape}")
-    return [[complex_pair(z) for z in row] for row in arr]
 
 
 def parse_complex(obj) -> complex:

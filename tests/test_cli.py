@@ -4,6 +4,7 @@ import json
 import math
 import re
 import warnings
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -34,6 +35,13 @@ def _write(tmp_path, name, payload):
     path = tmp_path / name
     path.write_text(json.dumps(payload), encoding="utf-8")
     return path
+
+
+def test_every_command_has_a_schema_and_a_golden_case():
+    assert set(cli._COMMANDS) == set(cli._SCHEMAS)
+    manifest = Path(__file__).parent / "golden" / "manifest.json"
+    covered = {case["command"] for case in json.loads(manifest.read_text(encoding="utf-8"))}
+    assert covered == set(cli._COMMANDS)
 
 
 @pytest.mark.parametrize("command", ["zeval", "lattice", "optimize", "collapse"])

@@ -39,10 +39,16 @@ def test_config_rejects_bad_step(bad):
         OptimizerConfig(step_size=bad)
 
 
-@pytest.mark.parametrize("bad", [0, -3, 2.0])
+@pytest.mark.parametrize("bad", [0, -3, 2.0, True, False, np.int64(0), np.float64(2.0)])
 def test_config_rejects_bad_iteration_count(bad):
     with pytest.raises(ValueError, match="max_iters"):
         OptimizerConfig(max_iters=bad)
+
+
+@pytest.mark.parametrize("count", [np.int64(10), np.int32(1), np.uint8(3)])
+def test_config_takes_numpy_integer_iteration_counts(count):
+    config = OptimizerConfig(max_iters=count)
+    assert type(config.max_iters) is int and config.max_iters == count
 
 
 def test_config_rejects_bad_tolerance():

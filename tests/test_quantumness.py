@@ -305,6 +305,7 @@ def test_log_magnitude_is_the_last_sweep_value_of_the_returned_path(kind, lam, s
     recomputed = penalized_log_magnitude(outcome.path, hamiltonian, penalty, grid)
     assert report.log_magnitude == report.sweep_trace[-1] == recomputed
     assert outcome.log_magnitude == report.log_magnitude
+    assert report.sweeps == len(report.sweep_trace) - 1
 
 
 def test_unpenalized_run_recovers_the_evolved_state():
@@ -668,6 +669,33 @@ def test_entropy_slice_solve_leaves_a_fixed_point_unmoved():
     rows, _ = _power_slice_solve(left, mids, measure, 1.0)
     again, _ = _power_slice_solve(rows, mids, measure, 1.0)
     assert np.array_equal(again, rows)
+
+
+def _settling_step(row, midpoint, c):
+    """The power step at which ``row`` would move its singular values by no
+    more than ``_MOVE_TOL`` against ``midpoint``: the step its solve stops at."""
+    sigma = np.linalg.svd(midpoint.reshape(1, 2, 2), compute_uv=False)
+    s = np.linalg.svd(row.reshape(1, 2, 2), compute_uv=False)
+    for k in range(quantumness._MAX_SLICE_ITERS):
+        new = _singular_value_step(s, sigma, c)
+        if np.max(np.abs(new - s)) <= quantumness._MOVE_TOL:
+            return k
+        s = new
+    return quantumness._MAX_SLICE_ITERS
+
+
+@pytest.mark.parametrize("c", [1.0, 12.5])
+def test_entropy_slice_solve_freezes_a_settled_row_while_others_step(c):
+    # a row keeps the values it settled at while other rows of the same call
+    # step on, so it comes out bit for bit as when solved alone
+    measure = QuantumnessMeasure.linear_entropy(2, 2)
+    mids, left = _entropy_midpoints(106, 6, 0.5)
+    settling = [_settling_step(row, midpoint, c) for row, midpoint in zip(left, mids)]
+    assert min(settling) < max(settling)
+    rows, _ = _power_slice_solve(left, mids, measure, c)
+    for j in range(len(mids)):
+        alone, _ = _power_slice_solve(left[j:j + 1], mids[j:j + 1], measure, c)
+        assert np.array_equal(rows[j], alone[0]), (j, settling)
 
 
 def _measure(kind, basis):

@@ -10,7 +10,6 @@ from statepath.serialize import (
     complex_pair,
     dumps,
     fmt17,
-    matrix_pairs,
     parse_complex,
     parse_matrix,
     parse_vector,
@@ -30,12 +29,7 @@ def test_vector_round_trip():
 
 def test_matrix_round_trip():
     mat = np.array([[1.0, 2.0j], [3.0 - 1.0j, -4.0]])
-    np.testing.assert_array_equal(parse_matrix(matrix_pairs(mat)), mat)
-
-
-def test_matrix_pairs_rejects_vectors():
-    with pytest.raises(ValueError, match="matrix"):
-        matrix_pairs(np.array([1.0, 2.0]))
+    np.testing.assert_array_equal(parse_matrix([vector_pairs(row) for row in mat]), mat)
 
 
 @pytest.mark.parametrize("bad", [[1.0], [1.0, 2.0, 3.0], "12", [1.0, math.nan], [1.0, None]])
