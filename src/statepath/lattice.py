@@ -54,7 +54,8 @@ class TimeGrid:
     def __post_init__(self) -> None:
         for name in ("t_start", "t_end"):
             value = getattr(self, name)
-            if not (isinstance(value, (int, float)) and math.isfinite(value)):
+            if isinstance(value, bool) or not (isinstance(value, (int, float))
+                                               and math.isfinite(value)):
                 raise ValueError(f"{name} must be a finite real, got {value!r}")
         if not self.t_end > self.t_start:
             raise ValueError(
@@ -321,8 +322,13 @@ def monte_carlo_estimate(
     Interior variables are drawn from the standard complex Gaussian weight
     exp(-|z|^2) d^2 z / pi and the residual chain coupling is averaged.
     Returns (estimate, standard_error) where the standard error is that of
-    the complex sample mean, so the true value lies within three standard
-    errors with the usual confidence.
+    the complex sample mean. It is a confidence bound only at N = 2 slices.
+    From N = 3 on, the weight holds the bilinear term c conj(z_{k+1}) z_k of
+    two sampled variables, with |c| = sqrt(1 + (E dt / hbar)^2) > 1 for any
+    E != 0, so E|w|^2 diverges: the weights have infinite variance, and the
+    reported standard error is only a sample statistic with a heavy tail of
+    misses (2 estimates beyond 5 standard errors in 3600 runs at N = 3 and
+    10^5 samples).
 
     Results are deterministic for a fixed (seed, samples) pair: every
     sample comes from the one generator ``default_rng([seed, 0])``. An

@@ -37,7 +37,8 @@ def parse_complex(obj) -> complex:
     if (
         not isinstance(obj, (list, tuple))
         or len(obj) != 2
-        or not all(isinstance(part, (int, float)) and math.isfinite(part) for part in obj)
+        or not all(isinstance(part, (int, float)) and not isinstance(part, bool)
+                   and math.isfinite(part) for part in obj)
     ):
         raise ValueError(f"expected a [re, im] pair of finite numbers, got {obj!r}")
     return complex(float(obj[0]), float(obj[1]))

@@ -47,6 +47,16 @@ def test_grid_rejects_non_integer_steps():
             TimeGrid(0.0, 1.0, bad)
 
 
+@pytest.mark.parametrize("t_start, t_end", [(False, True), (0.0, True), (False, 1.0)])
+def test_grid_rejects_boolean_endpoints(t_start, t_end):
+    with pytest.raises(ValueError, match="must be a finite real"):
+        TimeGrid(t_start, t_end, 1)
+
+
+def test_grid_takes_integer_endpoints():
+    assert TimeGrid(0, 2, 4).dt == 0.5
+
+
 @pytest.mark.parametrize("steps", [np.int64(4), np.int32(1), np.uint8(3)])
 def test_grid_takes_numpy_integer_steps(steps):
     grid = TimeGrid(0.0, 1.0, steps)

@@ -73,6 +73,19 @@ def test_partition_dims_must_be_positive():
         QuantumnessMeasure.linear_entropy(0, 4)
 
 
+@pytest.mark.parametrize("dims", [(2.7, 2), (True, 4), (2, False), (np.float64(2.0), 2),
+                                  ("2", 2)])
+def test_partition_dims_must_be_integers(dims):
+    with pytest.raises(ValueError, match="partition dims must be an integer"):
+        QuantumnessMeasure.linear_entropy(*dims)
+
+
+def test_partition_dims_take_numpy_integers():
+    measure = QuantumnessMeasure.linear_entropy(np.int64(2), np.uint8(3))
+    assert measure.partition == (2, 3)
+    assert all(type(d) is int for d in measure.partition)
+
+
 def test_pointer_basis_must_be_orthonormal():
     with pytest.raises(ValueError, match="orthonormal"):
         QuantumnessMeasure.pointer(np.array([[1.0, 1.0], [0.0, 1.0]]))
@@ -780,6 +793,131 @@ def test_strong_penalty_runs_converge(measure_kind, steps):
     assert report.converged
     assert report.nearest_pointer_index == 0
     assert report.fidelity_to_pointer >= 1.0 - 1e-3
+
+
+# ------------------------------------------------- over-relaxed sweeps
+
+def _detector_problem(kind, lam, steps):
+    hamiltonian, psi_i, basis = qubit_detector_model(weight0=0.75)
+    return PenalizedPathProblem(psi_i, TimeGrid(0.0, 1.0, steps), hamiltonian,
+                                PenaltyConfig(lam, _measure(kind, basis)))
+
+
+def _plain_red_black(problem, max_iters):
+    """The relaxation with plain red-black sweeps only: the same start, slice
+    updates and stop test, no over-relaxation; returns (path, trace, converged)."""
+    grid, penalty = problem.grid, problem.penalty
+    c = penalty.lam * grid.dt
+    x = optimize_penalized(problem, OptimizerConfig(max_iters=1)).path[-1]  # no sweep moves it
+    states = quantumness._initial_path(problem.psi_i.amplitudes, x, grid.steps)
+    trace = [quantumness._log_magnitude(states, problem.hamiltonian, penalty, grid)]
+    converged = grid.steps < 2
+    colours = [ks for ks in (np.arange(1, grid.steps, 2), np.arange(2, grid.steps, 2)) if ks.size]
+    for _ in range(max_iters if colours else 0):
+        for ks in colours:
+            mids = 0.5 * (states[ks - 1] + states[ks + 1])
+            states[ks] = quantumness._relax_colour(states[ks], mids, penalty.measure, c)
+        trace.append(quantumness._log_magnitude(states, problem.hamiltonian, penalty, grid))
+        if trace[-1] - trace[-2] <= 1e-12 * (1.0 + abs(trace[-1])):
+            converged = True
+            break
+    return states, tuple(trace), converged
+
+
+def _assert_same_run(outcome, plain):
+    path, trace, converged = plain
+    np.testing.assert_array_equal(outcome.path, path)
+    assert outcome.report.sweep_trace == trace
+    assert outcome.report.converged == converged
+
+
+@pytest.mark.parametrize("kind", ["pointer", "entropy"])
+def test_unpenalized_runs_keep_the_plain_sweep_bits(kind):
+    # at lam = 0 every grid stops within the first four sweeps, which are plain
+    for steps in range(1, 65):
+        problem = _detector_problem(kind, 0.0, steps)
+        outcome = optimize_penalized(problem)
+        assert outcome.report.sweeps <= 4, steps
+        _assert_same_run(outcome, _plain_red_black(problem, 200))
+
+
+@pytest.mark.parametrize("max_iters", [1, 2, 3, 4])
+@pytest.mark.parametrize("kind", ["pointer", "entropy"])
+def test_runs_capped_at_four_sweeps_keep_the_plain_sweep_bits(kind, max_iters):
+    for lam in [1.0, 5.0, 200.0]:
+        for steps in [2, 4, 16, 32]:
+            problem = _detector_problem(kind, lam, steps)
+            outcome = optimize_penalized(problem, OptimizerConfig(max_iters=max_iters))
+            _assert_same_run(outcome, _plain_red_black(problem, max_iters))
+
+
+@pytest.mark.parametrize("steps", [4, 16, 32, 64])
+@pytest.mark.parametrize("lam", [1.0, 5.0, 200.0])
+@pytest.mark.parametrize("kind", ["pointer", "entropy"])
+def test_over_relaxation_ends_no_lower_than_plain_sweeps(kind, lam, steps):
+    problem = _detector_problem(kind, lam, steps)
+    over = optimize_penalized(problem).report
+    _, trace, converged = _plain_red_black(problem, OptimizerConfig().max_iters)
+    assert over.log_magnitude >= trace[-1] - 1e-12
+    assert over.converged or not converged
+
+
+@pytest.mark.parametrize("c", [0.3, 5.0])
+@pytest.mark.parametrize("kind", ["pointer", "entropy"])
+def test_over_relaxed_colour_update_never_lowers_a_slice_value(kind, c):
+    # rows near their slice maximizers: a long extrapolation overshoots and
+    # must fall back to the plain update
+    rng = np.random.default_rng(17)
+    measure = _measure(kind, np.eye(4))
+    mids = rng.normal(size=(12, 4)) + 1j * rng.normal(size=(12, 4))
+    best = quantumness._relax_colour(_unit_rows(mids, mids), mids, measure, c)
+    noise = rng.normal(size=best.shape) + 1j * rng.normal(size=best.shape)
+    rows = _unit_rows(best + 0.05 * noise, best)
+    old = _slice_values(rows, mids, measure, c)
+    plain = quantumness._relax_colour(rows, mids, measure, c)
+    fell_back = {}
+    for omega in [1.5, 1.9, 3.0]:
+        out = quantumness._relax_colour(rows, mids, measure, c, omega)
+        assert np.all(_slice_values(out, mids, measure, c) >= old), omega
+        np.testing.assert_allclose(np.linalg.norm(out, axis=1), 1.0, atol=1e-14)
+        fell_back[omega] = np.all(out == plain, axis=1)
+    assert not fell_back[1.5].any()  # a short extrapolation is taken
+    assert fell_back[3.0].all()  # one past the reflection overshoots: none is
+
+
+@pytest.fixture
+def sweep_factors(monkeypatch):
+    """The over-relaxation factor of every colour update, in call order."""
+    factors = []
+    relax = quantumness._relax_colour
+
+    def recording_relax(rows, mids, measure, c, omega=1.0):
+        factors.append(omega)
+        return relax(rows, mids, measure, c, omega)
+
+    monkeypatch.setattr(quantumness, "_relax_colour", recording_relax)
+    return factors
+
+
+@pytest.mark.parametrize("kind, lam, steps", [
+    ("pointer", 1.0, 16), ("pointer", 1.0, 32), ("pointer", 1.0, 64), ("pointer", 5.0, 32),
+    ("entropy", 1.0, 16), ("entropy", 5.0, 32),
+])
+def test_a_converged_run_ends_with_a_plain_sweep(sweep_factors, kind, lam, steps):
+    report = optimize_penalized(_detector_problem(kind, lam, steps)).report
+    assert report.converged
+    per_sweep = sweep_factors[1:]  # the first call is the final-state solve
+    assert len(per_sweep) == 2 * report.sweeps
+    assert per_sweep[-2:] == [1.0, 1.0]
+    assert max(per_sweep) > 1.0  # the run did over-relax before it stopped
+    assert max(per_sweep) <= 2.0 / (1.0 + math.sin(math.pi / steps))
+
+
+def test_over_relaxation_sweep_ceilings():
+    pointer = optimize_penalized(_detector_problem("pointer", 1.0, 32)).report
+    assert pointer.converged and pointer.sweeps <= 70
+    entropy = optimize_penalized(_detector_problem("entropy", 1.0, 16)).report
+    assert entropy.converged and entropy.sweeps < OptimizerConfig().max_iters == 200
 
 
 # ---------------------------------------------------------------- detector toy

@@ -38,6 +38,12 @@ def test_parse_complex_rejections(bad):
         parse_complex(bad)
 
 
+@pytest.mark.parametrize("bad", [[True, False], [1.0, True], (False, 0.0)])
+def test_parse_complex_refuses_booleans(bad):
+    with pytest.raises(ValueError, match="pair"):
+        parse_complex(bad)
+
+
 def test_parse_vector_rejections():
     with pytest.raises(ValueError, match="non-empty"):
         parse_vector([])
