@@ -13,10 +13,10 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import operator
 import sys
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 
 from .functional import z_closed_form
@@ -62,7 +62,8 @@ __all__ = ["main", "entry"]
 # Caps, checked by the schema before any work starts. Each keeps the slowest
 # run at its cap, other fields at their defaults, under 10 s on a 2-core
 # x86 VM: the eigh of a random H (dim), an unconverged collapse (max_iters,
-# steps, lambdas) or the exact chain reduction (n_list).
+# steps, lambdas) or the exact chain reduction (n_list). _MAX_DIM also caps
+# explicit matrices and amplitudes, whose cost follows the size of the file.
 _MAX_DIM = 1536
 _MAX_ITERS = 1000
 _MAX_STEPS = 64
@@ -85,8 +86,8 @@ _COMPLEX_PAIR = {
     "minItems": 2,
     "items": False,
 }
-_VECTOR = {"type": "array", "minItems": 1, "items": _COMPLEX_PAIR}
-_MATRIX = {"type": "array", "minItems": 1, "items": _VECTOR}
+_VECTOR = {"type": "array", "minItems": 1, "maxItems": _MAX_DIM, "items": _COMPLEX_PAIR}
+_MATRIX = {"type": "array", "minItems": 1, "maxItems": _MAX_DIM, "items": _VECTOR}
 
 
 def _kind_rules(rules: dict) -> list:
@@ -254,6 +255,132 @@ _SCHEMAS = {
         "additionalProperties": False,
     },
 }
+
+
+# The configs are checked here, not by a validator package: _walk implements
+# the 2020-12 semantics of exactly the keywords _SCHEMAS uses, and a refusal
+# names the error jsonschema's best_match would pick, in jsonschema's wording.
+# tests/test_cli_schema.py holds it to jsonschema and the schemas to the
+# metaschema. ``then`` is read by ``if``; ``$schema`` names the dialect.
+_KEYWORDS = frozenset({
+    "type", "enum", "const", "required", "properties", "additionalProperties",
+    "propertyNames", "minimum", "maximum", "exclusiveMinimum", "minItems", "maxItems",
+    "prefixItems", "items", "allOf", "if", "then", "$schema",
+})
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# the schemas' type names over what json.loads returns
+_TYPES = {
+    "object": lambda value: isinstance(value, dict),
+    "array": lambda value: isinstance(value, list),
+    "string": lambda value: isinstance(value, str),
+    "number": _is_number,
+    "integer": lambda value: _is_number(value) and (isinstance(value, int) or value.is_integer()),
+}
+_BOUNDS = {
+    "minimum": (operator.lt, "is less than the minimum of"),
+    "maximum": (operator.gt, "is greater than the maximum of"),
+    "exclusiveMinimum": (operator.le, "is less than or equal to the minimum of"),
+}
+
+
+def _note(best: list, path: tuple, message: str, instance, schema: dict) -> None:
+    """Keep ``message`` in ``best`` = [key, message] if it ranks above the kept
+    one: a shorter path, then a later sibling, then an instance outside the
+    schema's type, ties going to the first found (jsonschema's ``relevance``)."""
+    key = (-len(path), path, "type" not in schema or not _TYPES[schema["type"]](instance))
+    if best[0] is None or key > best[0]:
+        best[:] = key, message
+
+
+def _descends(path: tuple, best: list) -> bool:
+    """Whether an error below ``path`` can still outrank the kept one."""
+    return best[0] is None or best[0][0] < -len(path)
+
+
+def _walk(instance, schema: dict, path: tuple, best: list) -> None:
+    """Note in ``best`` the errors of ``instance`` at ``path`` against ``schema``,
+    in jsonschema's order; a container's items are walked only where its
+    type matches, so the depth is bounded by the schema's."""
+    is_object, is_array = isinstance(instance, dict), isinstance(instance, list)
+    for keyword, value in schema.items():
+        message = None
+        if keyword == "type":
+            if not _TYPES[value](instance):
+                message = f"{instance!r} is not of type {value!r}"
+        elif keyword == "prefixItems":
+            if is_array and _descends(path, best):
+                for index, (item, subschema) in enumerate(zip(instance, value)):
+                    _walk(item, subschema, (*path, index), best)
+        elif keyword == "items":
+            prefix = len(schema.get("prefixItems", ()))
+            extra = len(instance) - prefix if is_array else 0
+            if extra > 0 and value is False:
+                rest = instance[prefix:] if extra != 1 else instance[prefix]
+                message = (f"Expected at most {prefix} {'item' if prefix == 1 else 'items'} "
+                           f"but found {extra} extra: {rest!r}")
+            elif extra > 0 and _descends(path, best):
+                for index in range(prefix, len(instance)):
+                    _walk(instance[index], value, (*path, index), best)
+        elif keyword == "minItems":
+            if is_array and len(instance) < value:
+                message = f"{instance!r} {'should be non-empty' if value == 1 else 'is too short'}"
+        elif keyword == "maxItems":
+            if is_array and len(instance) > value:
+                message = f"{instance!r} {'is expected to be empty' if value == 0 else 'is too long'}"
+        elif keyword in _BOUNDS:
+            beyond, wording = _BOUNDS[keyword]
+            if _is_number(instance) and beyond(instance, value):
+                message = f"{instance!r} {wording} {value!r}"
+        elif keyword == "enum":
+            # every enum and const value is a string, which no other JSON value equals
+            if instance not in value:
+                message = f"{instance!r} is not one of {value!r}"
+        elif keyword == "const":
+            if instance != value:
+                message = f"{value!r} was expected"
+        elif keyword == "properties":
+            if is_object and _descends(path, best):
+                for name, subschema in value.items():
+                    if name in instance:
+                        _walk(instance[name], subschema, (*path, name), best)
+        elif keyword == "required":
+            for name in value if is_object else ():
+                if name not in instance:
+                    _note(best, path, f"{name!r} is a required property", instance, schema)
+        elif keyword == "additionalProperties":
+            # only ``false`` is used: every field must be named under ``properties``
+            extras = sorted(name for name in instance
+                            if name not in schema.get("properties", {})) if is_object else ()
+            if extras:
+                message = (f"Additional properties are not allowed ({', '.join(map(repr, extras))}"
+                           f" {'was' if len(extras) == 1 else 'were'} unexpected)")
+        elif keyword == "propertyNames":
+            for name in instance if is_object else ():
+                _walk(name, value, path, best)
+        elif keyword == "allOf":
+            for subschema in value:
+                _walk(instance, subschema, path, best)
+        elif keyword == "if":
+            probe = [None, None]
+            _walk(instance, value, path, probe)
+            if probe[0] is None and "then" in schema:
+                _walk(instance, schema["then"], path, best)
+        if message is not None:
+            _note(best, path, message, instance, schema)
+
+
+def _schema_error(config, schema: dict):
+    """(path, message) of the error ``jsonschema.validate`` would raise for
+    ``config``, or None when the config is valid."""
+    best = [None, None]
+    _walk(config, schema, (), best)
+    return None if best[0] is None else (best[0][1], best[1])
+
 
 # sub-seed slots so one master seed drives every randomized ingredient
 _SLOT_HAMILTONIAN = 0
@@ -631,7 +758,10 @@ def main(argv=None) -> int:
     try:
         raw = args.config.read_text(encoding="utf-8")
         cfg = json.loads(raw)
-        jsonschema.validate(cfg, _SCHEMAS[args.command])
+        error = _schema_error(cfg, _SCHEMAS[args.command])
+        if error is not None:
+            path, message = error
+            raise ValueError(f"config invalid at {_where(path)}: {_clipped(message)}")
         oversized = _oversized_integer(cfg)
         if oversized is not None:
             path, digits = oversized
@@ -640,10 +770,6 @@ def main(argv=None) -> int:
         text, code = handler(cfg, args.seed)
         if args.out is not None:
             args.out.write_text(text, encoding="utf-8")
-    except jsonschema.ValidationError as exc:
-        print(f"error: config invalid at {_where(exc.absolute_path)}: {_clipped(exc.message)}",
-              file=sys.stderr)
-        return 2
     except (ValueError, OverflowError, OSError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

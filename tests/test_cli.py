@@ -6,7 +6,6 @@ import re
 import warnings
 from pathlib import Path
 
-import jsonschema
 import pytest
 
 import numpy as np
@@ -502,6 +501,15 @@ def test_oversized_integer_is_the_first_one_no_float_holds():
     assert cli._oversized_integer({"flag": True, "n": -(10**400)}) == (("n",), 401)
 
 
+EXPLICIT_ZEVAL = _with(RANDOM_ZEVAL, ("hamiltonian",), {"kind": "explicit", "matrix": HALF_FLIP})
+EXPLICIT_STATE_ZEVAL = _with(RANDOM_ZEVAL, ("psi_i",),
+                             {"kind": "explicit", "amplitudes": BASIS_AMPLITUDES})
+# explicit operators and states at their caps: lists of one shared entry, so
+# the row and column caps of a matrix are each checked without a d x d walk
+PAIR = [0.5, 0.0]
+CAP_ROW = [PAIR] * cli._MAX_DIM
+LONG_ROW = [PAIR] * (cli._MAX_DIM + 1)
+
 # (command, config, path, value at the cap, value past it): a cap is checked by
 # the schema alone, so these tests validate and never run a capped config
 CAPS = {
@@ -520,13 +528,18 @@ CAPS = {
                       list(range(1, cli._MAX_SLICE_COUNTS + 2))),
     "lambdas-length": ("collapse", {"lambdas": [0.0]}, ("lambdas",),
                        [0.0] * cli._MAX_LAMBDAS, [0.0] * (cli._MAX_LAMBDAS + 1)),
+    "matrix-rows": ("zeval", EXPLICIT_ZEVAL, ("hamiltonian", "matrix"),
+                    [[PAIR]] * cli._MAX_DIM, [[PAIR]] * (cli._MAX_DIM + 1)),
+    "matrix-columns": ("zeval", EXPLICIT_ZEVAL, ("hamiltonian", "matrix"),
+                       [CAP_ROW], [LONG_ROW]),
+    "amplitudes": ("zeval", EXPLICIT_STATE_ZEVAL, ("psi_i", "amplitudes"), CAP_ROW, LONG_ROW),
 }
 
 
 def _schema_errors(command, payload):
-    validator = jsonschema.Draft202012Validator(cli._SCHEMAS[command])
-    return ["/".join(str(part) for part in error.absolute_path)
-            for error in validator.iter_errors(payload)]
+    """The path of the config error the CLI reports, as a list of none or one."""
+    error = cli._schema_error(payload, cli._SCHEMAS[command])
+    return [] if error is None else ["/".join(str(part) for part in error[0])]
 
 
 @pytest.mark.parametrize(
