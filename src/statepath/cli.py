@@ -289,12 +289,12 @@ _BOUNDS = {
 
 
 def _note(best: list, path: tuple, message: str, instance, schema: dict) -> None:
-    """Keep ``message`` in ``best`` = [key, message] if it ranks above the kept
-    one: a shorter path, then a later sibling, then an instance outside the
-    schema's type, ties going to the first found (jsonschema's ``relevance``)."""
+    """Keep ``message`` in ``best`` = [key, message, oversized] if it ranks above
+    the kept one: a shorter path, then a later sibling, then an instance outside
+    the schema's type, ties going to the first found (jsonschema's ``relevance``)."""
     key = (-len(path), path, "type" not in schema or not _TYPES[schema["type"]](instance))
     if best[0] is None or key > best[0]:
-        best[:] = key, message
+        best[0], best[1] = key, message
 
 
 def _descends(path: tuple, best: list) -> bool:
@@ -305,13 +305,19 @@ def _descends(path: tuple, best: list) -> bool:
 def _walk(instance, schema: dict, path: tuple, best: list) -> None:
     """Note in ``best`` the errors of ``instance`` at ``path`` against ``schema``,
     in jsonschema's order; a container's items are walked only where its
-    type matches, so the depth is bounded by the schema's."""
+    type matches, so the depth is bounded by the schema's. ``best[2]`` keeps the
+    path and digit count of the first integer past a ``type`` that no float holds."""
     is_object, is_array = isinstance(instance, dict), isinstance(instance, list)
     for keyword, value in schema.items():
         message = None
         if keyword == "type":
             if not _TYPES[value](instance):
                 message = f"{instance!r} is not of type {value!r}"
+            elif isinstance(instance, int) and best[2] is None:  # a passed type bars bools
+                try:
+                    float(instance)
+                except OverflowError:
+                    best[2] = path, len(str(abs(instance)))
         elif keyword == "prefixItems":
             if is_array and _descends(path, best):
                 for index, (item, subschema) in enumerate(zip(instance, value)):
@@ -366,7 +372,7 @@ def _walk(instance, schema: dict, path: tuple, best: list) -> None:
             for subschema in value:
                 _walk(instance, subschema, path, best)
         elif keyword == "if":
-            probe = [None, None]
+            probe = [None, None, None]
             _walk(instance, value, path, probe)
             if probe[0] is None and "then" in schema:
                 _walk(instance, schema["then"], path, best)
@@ -377,7 +383,7 @@ def _walk(instance, schema: dict, path: tuple, best: list) -> None:
 def _schema_error(config, schema: dict):
     """(path, message) of the error ``jsonschema.validate`` would raise for
     ``config``, or None when the config is valid."""
-    best = [None, None]
+    best = [None, None, None]
     _walk(config, schema, (), best)
     return None if best[0] is None else (best[0][1], best[1])
 
@@ -416,26 +422,24 @@ def _build_hamiltonian(spec, master) -> Hamiltonian:
     return Hamiltonian(parse_matrix(spec["matrix"]), **_given(spec, hbar=None))
 
 
-def _build_state(spec, dim: int, master, slot: int, what: str,
-                 hamiltonian=None, psi_i=None, t=None) -> StateVector:
-    kind = spec["kind"]
-    if kind == "random":
-        if "dim" in spec and int(spec["dim"]) != dim:
-            raise ValueError(
-                f"{what} dim {spec['dim']} does not match the hamiltonian dimension {dim}"
-            )
-        seed = _resolve_seed(spec.get("seed"), master, slot, f"random {what}")
-        return random_state(dim, seed)
-    if kind == "explicit":
-        amplitudes = parse_vector(spec["amplitudes"])
-        if amplitudes.size != dim:
-            raise ValueError(
-                f"{what} has {amplitudes.size} amplitudes but the hamiltonian "
-                f"dimension is {dim}"
-            )
-        return StateVector(amplitudes)
-    # evolved: the Schrodinger-evolved initial state
-    return evolve(hamiltonian, psi_i, t)
+def _checked_dim(spec, **states) -> int:
+    """The dimension the hamiltonian ``spec`` declares, once every state spec matches
+    it: checked before anything is built, so a mismatch costs no O(d^3) ``eigh``."""
+    dim = int(spec["dim"]) if spec["kind"] == "random" else len(spec["matrix"])
+    for what, state in states.items():
+        if state["kind"] == "random" and int(state.get("dim", dim)) != dim:
+            raise ValueError(f"{what} dim {state['dim']} does not match the hamiltonian "
+                             f"dimension {dim}")
+        if state["kind"] == "explicit" and len(state["amplitudes"]) != dim:
+            raise ValueError(f"{what} has {len(state['amplitudes'])} amplitudes but the "
+                             f"hamiltonian dimension is {dim}")
+    return dim
+
+
+def _build_state(spec, dim: int, master, slot: int, what: str) -> StateVector:
+    if spec["kind"] == "random":
+        return random_state(dim, _resolve_seed(spec.get("seed"), master, slot, f"random {what}"))
+    return StateVector(parse_vector(spec["amplitudes"]))
 
 
 def _optimizer_config(spec, master) -> OptimizerConfig:
@@ -447,14 +451,13 @@ def _optimizer_config(spec, master) -> OptimizerConfig:
 
 
 def _cmd_zeval(cfg, master) -> tuple[str, int]:
+    dim = _checked_dim(cfg["hamiltonian"], psi_i=cfg["psi_i"], psi_e=cfg["psi_e"])
     hamiltonian = _build_hamiltonian(cfg["hamiltonian"], master)
-    dim = hamiltonian.matrix.shape[0]
     t = cfg["t"]
     psi_i = _build_state(cfg["psi_i"], dim, master, _SLOT_PSI_I, "psi_i")
-    psi_e = _build_state(
-        cfg["psi_e"], dim, master, _SLOT_PSI_E, "psi_e",
-        hamiltonian=hamiltonian, psi_i=psi_i, t=t,
-    )
+    # an evolved psi_e is the Schrodinger-evolved initial state
+    psi_e = (evolve(hamiltonian, psi_i, t) if cfg["psi_e"]["kind"] == "evolved"
+             else _build_state(cfg["psi_e"], dim, master, _SLOT_PSI_E, "psi_e"))
     value = z_closed_form(psi_i, psi_e, hamiltonian, t)
     payload = {
         "z_re": value.z.real,
@@ -476,8 +479,8 @@ def _cmd_lattice(cfg, master) -> tuple[str, int]:
 
 
 def _cmd_optimize(cfg, master) -> tuple[str, int]:
+    dim = _checked_dim(cfg["hamiltonian"], psi_i=cfg["psi_i"])
     hamiltonian = _build_hamiltonian(cfg["hamiltonian"], master)
-    dim = hamiltonian.matrix.shape[0]
     t = cfg["t"]
     psi_i = _build_state(cfg["psi_i"], dim, master, _SLOT_PSI_I, "psi_i")
     config = _optimizer_config(cfg.get("optimizer"), master)
@@ -703,26 +706,6 @@ def _clipped(message: str) -> str:
     return f"{data[:half].decode(errors='ignore')}…{data[-half:].decode(errors='ignore')}"
 
 
-def _oversized_integer(node, path=()):
-    """Path and digit count of the first JSON integer that no float can hold."""
-    if isinstance(node, dict):
-        children = node.items()
-    elif isinstance(node, list):
-        children = enumerate(node)
-    else:
-        if isinstance(node, int) and not isinstance(node, bool):
-            try:
-                float(node)
-            except OverflowError:
-                return path, len(str(abs(node)))
-        return None
-    for key, value in children:
-        found = _oversized_integer(value, (*path, key))
-        if found is not None:
-            return found
-    return None
-
-
 def _seed_value(text: str) -> int:
     value = int(text)
     if not 0 <= value < 2**64:
@@ -758,11 +741,11 @@ def main(argv=None) -> int:
     try:
         raw = args.config.read_text(encoding="utf-8")
         cfg = json.loads(raw)
-        error = _schema_error(cfg, _SCHEMAS[args.command])
-        if error is not None:
-            path, message = error
-            raise ValueError(f"config invalid at {_where(path)}: {_clipped(message)}")
-        oversized = _oversized_integer(cfg)
+        best = [None, None, None]
+        _walk(cfg, _SCHEMAS[args.command], (), best)
+        key, message, oversized = best
+        if key is not None:
+            raise ValueError(f"config invalid at {_where(key[1])}: {_clipped(message)}")
         if oversized is not None:
             path, digits = oversized
             raise ValueError(f"config invalid at {_where(path)}: an integer of {digits} "

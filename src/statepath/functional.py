@@ -88,8 +88,8 @@ def z_mode_factor(a_i: complex, a_e: complex, energy: float, t: float, hbar: flo
     """Single-mode factor of the product form.
 
     exp(-(|a_e|^2 + |a_i|^2)/2) * exp(exp(-i*energy*t/hbar) * conj(a_e) * a_i),
-    written term for term like the analytic coherent-chain propagator so the
-    cross-module identity holds bitwise.
+    which is also the coherent chain's closed form,
+    ``lattice.analytic_propagator``.
     """
     phase = np.exp(-1j * energy * t / hbar)
     return complex(

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .functional import z_mode_factor
 from .hilbert import _positive_int
 
 __all__ = [
@@ -173,7 +174,7 @@ class CoherentChainProblem:
             raise ValueError(f"energy must be finite, got {self.energy!r}")
         if not (math.isfinite(float(self.hbar)) and self.hbar > 0.0):
             raise ValueError(f"hbar must be positive and finite, got {self.hbar!r}")
-        # the full-duration phase angle, in the order analytic_propagator computes it
+        # the full-duration phase angle, in the order z_mode_factor computes it
         duration = self.grid.duration
         if not math.isfinite(float(self.energy) * duration / self.hbar):
             raise ValueError(f"energy * (t_end - t_start) / hbar must be finite, got "
@@ -257,17 +258,12 @@ def chain_reduce_exact(problem: CoherentChainProblem) -> complex:
 
 
 def analytic_propagator(problem: CoherentChainProblem) -> complex:
-    """Closed-form chain value for the full duration.
-
-    exp(-(|z_f|^2 + |z_0|^2)/2) * exp(exp(-i E t / hbar) conj(z_f) z_0),
-    written as the same floating-point expression as
-    ``functional.z_mode_factor`` so the cross-module identity is bitwise.
+    """Closed-form chain value for the full duration,
+    exp(-(|z_f|^2 + |z_0|^2)/2) * exp(exp(-i E t / hbar) conj(z_f) z_0): the
+    per-mode functional factor ``functional.z_mode_factor`` at the chain's ends.
     """
-    phase = np.exp(-1j * problem.energy * problem.grid.duration / problem.hbar)
-    return complex(
-        np.exp(-0.5 * (abs(problem.zf) ** 2 + abs(problem.z0) ** 2))
-        * np.exp(phase * np.conj(problem.zf) * problem.z0)
-    )
+    return z_mode_factor(problem.z0, problem.zf, problem.energy, problem.grid.duration,
+                         problem.hbar)
 
 
 def convergence_study(problem: CoherentChainProblem, n_list) -> list[tuple[int, float]]:
@@ -348,20 +344,19 @@ def monte_carlo_estimate(
     seed = int(seed)
     if seed < 0:
         raise ValueError(f"seed must be a nonnegative integer, got {seed}")
+    if n == 1:
+        # no interior variables: the chain value is exact
+        return chain_reduce_exact(problem), 0.0
 
     boundary = float(np.exp(-0.5 * (abs(problem.zf) ** 2 + abs(problem.z0) ** 2)))
     c = 1.0 - 1j * problem.energy * problem.grid.dt / problem.hbar
     with np.errstate(all="ignore"):  # a non-finite estimate is refused below, not warned about
-        if n == 1:
-            # no interior variables: the chain value is exact
-            estimate, stderr = complex(boundary * np.exp(c * np.conj(problem.zf) * problem.z0)), 0.0
-        else:
-            weights = _chain_weights(problem, c, samples, seed)
-            total_abs_sq = float(np.sum(np.abs(weights) ** 2))
-            mean = complex(weights.sum()) / samples
-            variance = max(0.0, total_abs_sq - samples * abs(mean) ** 2) / (samples - 1)
-            estimate = complex(boundary * mean)
-            stderr = boundary * math.sqrt(variance / samples)
+        weights = _chain_weights(problem, c, samples, seed)
+        total_abs_sq = float(np.sum(np.abs(weights) ** 2))
+        mean = complex(weights.sum()) / samples
+        variance = max(0.0, total_abs_sq - samples * abs(mean) ** 2) / (samples - 1)
+        estimate = complex(boundary * mean)
+        stderr = boundary * math.sqrt(variance / samples)
     if not (np.isfinite(estimate) and math.isfinite(stderr)):
         raise ValueError(f"the Monte-Carlo estimate is not finite at N = {n} for energy "
                          f"{problem.energy!r}, t_end - t_start {problem.grid.duration!r} "

@@ -182,11 +182,10 @@ def maximize_final_state(
     psi_i: StateVector,
     t: float,
     config: OptimizerConfig | None = None,
-    initial: StateVector | None = None,
 ) -> OptimizationResult:
     """Projected gradient ascent for the best final state at horizon t.
 
-    Starts from ``initial`` (or a seeded random state), walks along the
+    Starts from a random state seeded by ``config.seed``, walks along the
     sphere-tangent gradient with backtracking halving, and renormalizes
     after every trial step. A step is accepted as soon as it does not
     decrease the objective; convergence is declared when the tangent
@@ -196,16 +195,9 @@ def maximize_final_state(
     config = config or OptimizerConfig()
     target = evolve(hamiltonian, psi_i, t).amplitudes
 
-    if initial is None:
-        rng = np.random.default_rng(config.seed)
-        x = rng.standard_normal(psi_i.dim) + 1j * rng.standard_normal(psi_i.dim)
-        x /= np.linalg.norm(x)
-    else:
-        if initial.dim != psi_i.dim:
-            raise ValueError(
-                f"initial state dimension {initial.dim} does not match {psi_i.dim}"
-            )
-        x = initial.amplitudes.copy()
+    rng = np.random.default_rng(config.seed)
+    x = rng.standard_normal(psi_i.dim) + 1j * rng.standard_normal(psi_i.dim)
+    x /= np.linalg.norm(x)
 
     x, f, trace, grad_norms, iterations, converged = _sphere_ascend(
         x,

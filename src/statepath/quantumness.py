@@ -216,14 +216,6 @@ class PenalizedPathProblem:
             )
 
 
-def _penalty_integral(rows: np.ndarray, measure: QuantumnessMeasure, dt: float) -> float:
-    """Trapezoid rule for the integral of Q along the path: w = dt at interior
-    nodes, dt/2 at the endpoints."""
-    weights = np.full(rows.shape[0], dt)
-    weights[0] = weights[-1] = 0.5 * dt
-    return float(weights @ measure.values(rows))
-
-
 def penalized_log_magnitude(
     path: np.ndarray,
     hamiltonian: Hamiltonian,
@@ -274,7 +266,10 @@ def _log_magnitude(states: np.ndarray, hamiltonian: Hamiltonian, penalty: Penalt
     value = kinetic - (grid.dt / hamiltonian.hbar) * h_imag
 
     if penalty.lam > 0.0:
-        value -= penalty.lam * _penalty_integral(states, penalty.measure, grid.dt)
+        # trapezoid rule for the integral of Q: w = dt at interior nodes, dt/2 at the endpoints
+        weights = np.full(states.shape[0], grid.dt)
+        weights[0] = weights[-1] = 0.5 * grid.dt
+        value -= penalty.lam * float(weights @ penalty.measure.values(states))
     return float(value)
 
 
@@ -282,6 +277,8 @@ def _log_magnitude(states: np.ndarray, hamiltonian: Hamiltonian, penalty: Penalt
 class CollapseReport:
     """Diagnostics of one penalized run.
 
+    ``final_state`` is ``StateVector(path[-1])`` of the outcome's path, which may
+    move it off ``path[-1]`` in the last bit; ``log_magnitude`` uses ``path[-1]``.
     ``pointer_ties`` lists every pointer index whose fidelity to the final
     state is within 1e-9 of the best one; more than one entry means the
     outcome is degenerate and the nearest index alone would be misleading.

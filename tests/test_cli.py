@@ -3,6 +3,7 @@
 import json
 import math
 import re
+import sys
 import warnings
 from pathlib import Path
 
@@ -495,10 +496,103 @@ def test_huge_integer_is_one_error_line(command, payload, path, tmp_path, capsys
     assert "401 digits" in line
 
 
+def _walked(command, config):
+    """``best`` = [rank key, message, oversized integer] after the schema walk."""
+    best = [None, None, None]
+    cli._walk(config, cli._SCHEMAS[command], (), best)
+    return best
+
+
 def test_oversized_integer_is_the_first_one_no_float_holds():
-    assert cli._oversized_integer({"t": 2**1023, "flag": True}) is None
-    assert cli._oversized_integer({"t": [0, 2**1024]}) == (("t", 1), len(str(2**1024)))
-    assert cli._oversized_integer({"flag": True, "n": -(10**400)}) == (("n",), 401)
+    # True is not an integer: it fails its type and is never size-checked
+    key, _, oversized = _walked("collapse", {"lambdas": [True]})
+    assert key is not None and oversized is None
+    # float() rounds the largest double plus one down to it, so it converts
+    assert _walked("collapse", {"lambdas": [int(sys.float_info.max) + 1]}) == [None] * 3
+    assert _walked("collapse", {"lambdas": [0, 2**1024]})[2] == (("lambdas", 1),
+                                                                 len(str(2**1024)))
+    assert _walked("collapse", {"lambdas": [0], "model": {"coupling": -(10**400)}})[2] == (
+        ("model", "coupling"), 401)
+    # of two, the first in schema-walk order: the schema lists t_end before lambdas
+    assert _walked("collapse", {"lambdas": [2**1024], "t_end": 10**400})[2] == (("t_end",), 401)
+
+
+def test_a_schema_error_wins_over_an_oversized_integer(tmp_path, capsys):
+    config = _write(tmp_path, "cfg.json", {"lambdas": [HUGE], "bogus": 1})
+    assert main(["collapse", "--config", str(config)]) == 2
+    assert _single_error_line(capsys) == (
+        "error: config invalid at (top level): Additional properties are not allowed "
+        "('bogus' was unexpected)")
+
+
+def _value_schemas(schema, own_instance=True):
+    """``schema`` and every subschema that a value inside its instance meets;
+    ``allOf``, ``if`` and ``then`` meet the instance of the schema holding them."""
+    if own_instance:
+        yield schema
+    for child in [*schema.get("properties", {}).values(), *schema.get("prefixItems", [])]:
+        yield from _value_schemas(child)
+    if isinstance(schema.get("items"), dict):
+        yield from _value_schemas(schema["items"])
+    for child in [*schema.get("allOf", []), *(schema[k] for k in ("if", "then") if k in schema)]:
+        yield from _value_schemas(child, own_instance=False)
+
+
+@pytest.mark.parametrize("command", sorted(cli._SCHEMAS))
+def test_every_subschema_that_admits_a_number_names_a_type(command):
+    # the walk checks an integer's size where it passes a ``type``, so a number
+    # that met no ``type`` would skip that check
+    for schema in _value_schemas(cli._SCHEMAS[command]):
+        allowed = schema.get("enum", [schema["const"]] if "const" in schema else None)
+        admits_number = allowed is None or not all(isinstance(v, str) for v in allowed)
+        assert "type" in schema or not admits_number, schema
+
+
+# (command, config, its one stderr line): a state whose dimension differs from
+# the hamiltonian's is refused from the config before the operator is built,
+# so at the dimension cap it costs no eigh, and an invalid operator is not reached
+STATE_MISMATCHES = {
+    "random-state-dim": (
+        "zeval", _with(_with(RANDOM_ZEVAL, ("hamiltonian", "dim"), cli._MAX_DIM),
+                       ("psi_i", "dim"), 2),
+        f"error: psi_i dim 2 does not match the hamiltonian dimension {cli._MAX_DIM}"),
+    "amplitude-count": (
+        "optimize", _with(_with(RANDOM_OPTIMIZE, ("hamiltonian", "dim"), cli._MAX_DIM),
+                          ("psi_i",), {"kind": "explicit", "amplitudes": [[1.0, 0.0]] * 3}),
+        f"error: psi_i has 3 amplitudes but the hamiltonian dimension is {cli._MAX_DIM}"),
+    "final-state-dim": (
+        "zeval", _with(_with(RANDOM_ZEVAL, ("hamiltonian",), {"kind": "explicit",
+                                                              "matrix": HALF_FLIP}),
+                       ("psi_e",), {"kind": "random", "dim": 3, "seed": 2}),
+        "error: psi_e dim 3 does not match the hamiltonian dimension 2"),
+    "non-hermitian-operator": (
+        "zeval", _with(_with(RANDOM_ZEVAL, ("hamiltonian",), {
+            "kind": "explicit", "matrix": [[[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]}),
+            ("psi_i", "dim"), 3),
+        "error: psi_i dim 3 does not match the hamiltonian dimension 2"),
+}
+
+
+@pytest.mark.parametrize(
+    "command, payload, line", list(STATE_MISMATCHES.values()), ids=list(STATE_MISMATCHES)
+)
+def test_state_dimension_mismatch_is_refused_before_any_eigh(command, payload, line,
+                                                             tmp_path, capsys, monkeypatch):
+    def no_eigh(*args, **kwargs):
+        raise AssertionError("eigh ran before the state dimensions were checked")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    config = _write(tmp_path, "cfg.json", payload)
+    assert main([command, "--config", str(config)]) == 2
+    assert _single_error_line(capsys) == line
+
+
+def test_partition_that_does_not_factor_the_model_is_refused(tmp_path, capsys):
+    config = _write(tmp_path, "cfg.json", {
+        "lambdas": [1.0], "measure": {"kind": "linear_entropy", "partition": [3, 2]}})
+    assert main(["collapse", "--config", str(config)]) == 2
+    assert _single_error_line(capsys) == (
+        "error: partition 3 x 2 does not factor the model dimension 4")
 
 
 EXPLICIT_ZEVAL = _with(RANDOM_ZEVAL, ("hamiltonian",), {"kind": "explicit", "matrix": HALF_FLIP})

@@ -391,6 +391,15 @@ def test_mc_single_slice_stays_exact_at_a_huge_energy():
         assert monte_carlo_estimate(problem, 1000, 1) == (chain_reduce_exact(problem), 0.0)
 
 
+def test_mc_single_slice_refuses_in_the_chain_reductions_words():
+    # exp(-900) * exp(900): the exact value is 1, but its factors overflow
+    problem = CoherentChainProblem(30.0, 30.0, 0.0, TimeGrid(0.0, 1.0, 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="the exact chain reduction is not finite at N = 1"):
+            monte_carlo_estimate(problem, 1000, 1)
+
+
 def test_mc_thirty_seed_mean_is_unbiased():
     prob = CoherentChainProblem(0.5 + 0.3j, -0.2 + 0.6j, 1.0, TimeGrid(0.0, 1.0, 3))
     exact = chain_reduce_exact(prob)

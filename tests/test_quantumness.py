@@ -355,6 +355,44 @@ def test_strong_penalty_collapses_onto_the_likelier_pointer():
     assert all(b >= a for a, b in zip(sweep, sweep[1:]))
 
 
+@pytest.mark.parametrize("steps", [1, 4])
+@pytest.mark.parametrize("lam", [0.0, 1.0, 200.0])
+def test_final_state_is_the_last_path_row_as_a_state_vector(lam, steps):
+    hamiltonian, psi_i, basis = qubit_detector_model()
+    penalty = PenaltyConfig(lam, QuantumnessMeasure.pointer(basis))
+    grid = TimeGrid(0.0, 1.0, steps)
+    outcome = optimize_penalized(PenalizedPathProblem(psi_i, grid, hamiltonian, penalty))
+    assert outcome.final_state is outcome.report.final_state
+    np.testing.assert_array_equal(outcome.report.final_state.amplitudes,
+                                  StateVector(outcome.path[-1]).amplitudes)
+
+
+def test_unpenalized_path_ends_on_the_evolved_state_along_the_great_circle():
+    hamiltonian, psi_i, basis = qubit_detector_model()
+    grid = TimeGrid(0.0, 1.0, 4)
+    penalty = PenaltyConfig(0.0, QuantumnessMeasure.pointer(basis))
+    outcome = optimize_penalized(PenalizedPathProblem(psi_i, grid, hamiltonian, penalty))
+    evolved = evolve(hamiltonian, psi_i, 1.0).amplitudes
+    np.testing.assert_array_equal(outcome.path[-1], evolved)
+    arc = quantumness._initial_path(psi_i.amplitudes, evolved, 4)
+    assert np.max(np.abs(outcome.path - arc)) <= 1e-15
+    # both ends sit at Q = 1/4; the great circle between them dips to 1/7
+    q = outcome.report.q_trajectory
+    assert abs(q[0] - 0.25) <= 1e-15 and abs(q[-1] - 0.25) <= 1e-15
+    assert abs(q[2] - 1.0 / 7.0) <= 1e-15
+
+
+def test_strong_pointer_penalty_pins_within_1e3_at_8_steps():
+    # the finest grid the README's pointer promise names; 4 steps is the acceptance check
+    hamiltonian, psi_i, basis = qubit_detector_model(weight0=0.75)
+    penalty = PenaltyConfig(200.0, QuantumnessMeasure.pointer(basis))
+    problem = PenalizedPathProblem(psi_i, TimeGrid(0.0, 1.0, 8), hamiltonian, penalty)
+    report = optimize_penalized(problem).report
+    assert report.converged
+    assert report.nearest_pointer_index == 0
+    assert report.fidelity_to_pointer >= 1.0 - 1e-3
+
+
 def test_resting_pointer_state_is_an_exact_fixed_point():
     # H = 0 and a pointer-state start: nothing should move, bit for bit
     psi_i = StateVector(E0)
